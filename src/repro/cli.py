@@ -512,7 +512,8 @@ def cmd_campaign(args, out) -> int:
         )
         print(
             f"traces recorded (warm-up): {stats.warmup_records}, "
-            f"trace re-records: {stats.re_records}",
+            f"trace re-records: {stats.re_records}, "
+            f"keyed draws: {stats.keyed_draws}",
             file=out,
         )
         print(

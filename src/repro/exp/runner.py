@@ -42,7 +42,9 @@ def _replay_workload(request: RunRequest, workload):
 
     Prefers the pre-recorded ``trace_path`` the runner attached before
     fan-out (one memory-mapped copy shared across worker processes via
-    the page cache); unreadable/corrupt paths fall back to the trace
+    the page cache), resolved through the default trace store's memory
+    so every run of a worker shares one :class:`TraceData` and its
+    memoised draw plans; unreadable/corrupt paths fall back to the trace
     store, which re-records.  ``OSError`` covers a ``.npt`` deleted or
     evicted mid-campaign -- without it one vanished file would crash a
     worker instead of costing one re-record.  Bit-identity makes this
@@ -50,12 +52,12 @@ def _replay_workload(request: RunRequest, workload):
     """
     from repro.workloads import tracestore
 
+    store = tracestore.get_default_trace_store()
     if request.trace_path:
         try:
-            return tracestore.ReplayWorkload(tracestore.read_npt(request.trace_path))
+            return tracestore.ReplayWorkload(store.load(request.trace_path))
         except (tracestore.TraceFormatError, OSError):
             pass
-    store = tracestore.get_default_trace_store()
     return store.replay(workload, max_windows=request.max_windows)
 
 
@@ -132,14 +134,14 @@ def execute_request_group(requests: Sequence[RunRequest]) -> List[RunResult]:
     if len(requests) == 1:
         return [execute_request(requests[0])]
     first = requests[0]
+    store = tracestore.get_default_trace_store()
     data = None
     if first.trace_path:
         try:
-            data = tracestore.read_npt(first.trace_path)
+            data = store.load(first.trace_path)
         except (tracestore.TraceFormatError, OSError):
             data = None
     if data is None:
-        store = tracestore.get_default_trace_store()
         _, data = store.ensure_spec(
             first.workload.descriptor(), first.workload.build, first.max_windows
         )

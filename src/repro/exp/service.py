@@ -109,6 +109,7 @@ class CampaignStats:
     respawns: int = 0
     warmup_records: int = 0    # traces recorded while preparing replay
     re_records: int = 0        # traces re-recorded during execution
+    keyed_draws: int = 0       # keyed PEBS record plans drawn (not reused)
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -144,23 +145,30 @@ class CampaignResult(ExperimentResult):
 # ---------------------------------------------------------------------------
 
 
+def _store_counts() -> tuple:
+    """The trace-store counters workers report: (records, plan_draws)."""
+    from repro.workloads.tracestore import get_default_trace_store
+
+    store = get_default_trace_store()
+    return store.records, store.plan_draws
+
+
 def _worker_main(conn, worker_index: int) -> None:
     """Long-lived worker loop: recv request, execute, send result.
 
     The per-result payload carries the worker-local trace-store record
-    counter so the driver can prove the zero-re-record property across
-    process boundaries (a worker that silently regenerated traffic
-    would otherwise be invisible to the parent's counters).
+    and keyed-draw counters so the driver can prove the zero-re-record
+    and draw-once properties across process boundaries (a worker that
+    silently regenerated traffic or redrew a sidecar would otherwise be
+    invisible to the parent's counters).
     """
-    from repro.workloads.tracestore import get_default_trace_store
-
-    # Fork-inherited stores carry the parent's record counter (e.g. the
+    # Fork-inherited stores carry the parent's counters (e.g. the
     # warm-up recordings); report deltas relative to this worker's start
-    # so only traffic *this worker* regenerated counts as a re-record.
-    records_base = get_default_trace_store().records
+    # so only work *this worker* did counts.
+    base = _store_counts()
 
-    def records_delta() -> int:
-        return get_default_trace_store().records - records_base
+    def deltas() -> tuple:
+        return tuple(now - then for now, then in zip(_store_counts(), base))
 
     while True:
         try:
@@ -177,9 +185,9 @@ def _worker_main(conn, worker_index: int) -> None:
                 result = execute_request_group(request)
             else:
                 result = execute_request(request)
-            payload = (task_key, True, result, records_delta())
+            payload = (task_key, True, result, deltas())
         except BaseException as exc:  # noqa: BLE001 - isolate *any* failure
-            payload = (task_key, False, f"{type(exc).__name__}: {exc}", records_delta())
+            payload = (task_key, False, f"{type(exc).__name__}: {exc}", deltas())
         try:
             conn.send(payload)
         except (BrokenPipeError, OSError):
@@ -189,7 +197,7 @@ def _worker_main(conn, worker_index: int) -> None:
                 conn.send(
                     (task_key, False,
                      f"result not sendable: {type(exc).__name__}: {exc}",
-                     records_delta())
+                     deltas())
                 )
             except Exception:
                 break
@@ -204,7 +212,7 @@ class _Worker:
 
     __slots__ = (
         "index", "process", "conn", "task", "busy_since",
-        "completed", "busy_seconds", "records_seen",
+        "completed", "busy_seconds", "counts_seen",
     )
 
     def __init__(self, index, process, conn):
@@ -215,8 +223,8 @@ class _Worker:
         self.busy_since = 0.0
         self.completed = 0
         self.busy_seconds = 0.0
-        #: Last trace-store record counter this worker reported.
-        self.records_seen = 0
+        #: Last trace-store (records, plan_draws) this worker reported.
+        self.counts_seen = (0, 0)
 
     @property
     def busy(self) -> bool:
@@ -241,6 +249,7 @@ class WorkerPool:
         self._ctx = context if context is not None else parallel._mp_context()
         self.respawns = 0
         self.worker_re_records = 0
+        self.worker_plan_draws = 0
         self._next_index = 0
         self.workers: List[_Worker] = [self._spawn() for _ in range(self.jobs)]
         self._closed = False
@@ -277,11 +286,13 @@ class WorkerPool:
             worker.process.kill()
             worker.process.join(timeout=5.0)
 
-    def note_records(self, worker: _Worker, reported: int) -> None:
-        """Fold a worker's trace-record counter into the pool total."""
-        if reported > worker.records_seen:
-            self.worker_re_records += reported - worker.records_seen
-            worker.records_seen = reported
+    def note_counts(self, worker: _Worker, reported: tuple) -> None:
+        """Fold a worker's (records, plan_draws) counters into the pool totals."""
+        records, draws = reported
+        seen_records, seen_draws = worker.counts_seen
+        self.worker_re_records += records - seen_records
+        self.worker_plan_draws += draws - seen_draws
+        worker.counts_seen = (records, draws)
 
     def close(self) -> None:
         if self._closed:
@@ -416,6 +427,7 @@ class CampaignDriver:
         _prepare_replay(misses)
         stats.warmup_records = trace_store.records - records_before
         records_at_execution = trace_store.records
+        draws_at_execution = trace_store.plan_draws
 
         ledger: List[FailureRecord] = []
         if misses:
@@ -434,9 +446,12 @@ class CampaignDriver:
             flush()
 
         stats.re_records = trace_store.records - records_at_execution
+        stats.keyed_draws = trace_store.plan_draws - draws_at_execution
         if self._pool is not None:
             stats.re_records += self._pool.worker_re_records
+            stats.keyed_draws += self._pool.worker_plan_draws
             self._pool.worker_re_records = 0
+            self._pool.worker_plan_draws = 0
             stats.respawns = self._pool.respawns
         stats.failures = len(ledger)
         stats.failed_requests = sum(1 for rec in ledger if rec.final)
@@ -565,7 +580,7 @@ class CampaignDriver:
                 worker = next(w for w in pool.workers if w.conn is conn)
                 unit = worker.task
                 try:
-                    task_key, ok, payload, records = conn.recv()
+                    task_key, ok, payload, counts = conn.recv()
                 except (EOFError, OSError):
                     release(worker, now)
                     pool.respawn(worker)
@@ -573,7 +588,7 @@ class CampaignDriver:
                          f"worker died mid-request (exit code "
                          f"{worker.process.exitcode})")
                     continue
-                pool.note_records(worker, records)
+                pool.note_counts(worker, counts)
                 release(worker, now)
                 if ok:
                     self._complete_unit(unit, payload, results, store, stats)

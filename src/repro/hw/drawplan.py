@@ -15,9 +15,10 @@ exploits both:
   the stream just pays the C-dispatch cost once per chunk instead of
   once per value.  Each stream owns its generator exclusively; values
   drawn past the run's end are simply never observed.
-* :func:`build_static_batches` pre-splits the *whole run's* recorded
-  CSR columns by (window, group, tier) in one vectorised pass and hands
-  every window a pre-sliced :class:`~repro.hw.stall.ShareBatch` view --
+* :func:`split_static` / :func:`static_batches` pre-split the *whole
+  run's* recorded CSR columns by (window, group, tier) in one
+  vectorised pass and hand every window a pre-sliced
+  :class:`~repro.hw.stall.ShareBatch` view --
   rows in the exact legacy order (per group: tier 0 then tier 1, ...),
   so solver, PEBS, CHA, and trace consumers see byte-identical inputs.
 * :func:`plan_pebs_batches` / :func:`plan_chmu_batches` precompute each
@@ -33,6 +34,14 @@ tensors at attach time for **any** policy, dynamic ones included --
 only the per-window placement gather and merge stay in the loop (and
 for static placements even those fold into a finished-batch plan).
 
+Every artefact that depends on the trace and not on the run is
+computed once: the keyed PEBS records come from the trace store
+(:meth:`~repro.workloads.tracestore.TraceStore.pebs_records`, memo ->
+sidecar file -> one draw), and their positive-record index, the keyed
+jitter tensors, the entry metadata and the static splits are memoised
+on the :class:`~repro.workloads.tracestore.TraceData`, so runs of one
+process that share their inputs share one read-only object.
+
 The plans engage automatically when a :class:`Machine` is driven by a
 non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`; the
 static-split and sampler plans additionally require the policy to
@@ -42,6 +51,7 @@ Set ``REPRO_NO_DRAWPLAN=1`` to force the live per-window paths.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from typing import List, Optional, Tuple
 
@@ -101,6 +111,13 @@ class NormalDrawStream:
         self._pos = 0
 
 
+def _readonly(*arrays) -> None:
+    """Freeze arrays that runs share (``None`` entries are skipped)."""
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+
+
 def _empty_share_batch(num_tiers: int) -> ShareBatch:
     return ShareBatch(
         n=0,
@@ -119,80 +136,135 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
     )
 
 
-def build_static_batches(
-    data, placement: np.ndarray, num_tiers: int
-) -> List[Optional[ShareBatch]]:
-    """Pre-split every recorded window by a *frozen* placement.
+class StaticSplit:
+    """The whole trace split into (group, tier) rows by a frozen placement.
+
+    Read-only and run-independent: every run that replays the same
+    trace on the same tier count with the same placement can share one
+    (:func:`attach` memoises it on the trace).  Each run still wraps it
+    in its own :class:`ShareBatch` views, whose solver scratch
+    (``unit_stall_cycles``/``stall_scratch``) it owns.
+    """
+
+    __slots__ = (
+        "num_tiers", "row_group", "row_tier", "row_misses", "row_offsets",
+        "row_window_ptr", "pages_s", "counts_s",
+    )
+
+    def __init__(self, num_tiers, row_group, row_tier, row_misses, row_offsets,
+                 row_window_ptr, pages_s, counts_s):
+        self.num_tiers = num_tiers
+        self.row_group = row_group
+        self.row_tier = row_tier
+        self.row_misses = row_misses
+        #: Row boundaries into ``pages_s``/``counts_s`` (None: misses only).
+        self.row_offsets = row_offsets
+        self.row_window_ptr = row_window_ptr
+        self.pages_s = pages_s
+        self.counts_s = counts_s
+
+
+def split_static(
+    data, placement: np.ndarray, num_tiers: int, misses_only: bool = False
+) -> StaticSplit:
+    """Split every recorded entry by (group, tier) under a frozen placement.
 
     One stable argsort of the whole trace's entries by (group, tier)
     reproduces, per (group, tier), exactly the element order that the
-    per-window mask + ``np.compress`` split emits; segment offsets then
-    carve per-window :class:`ShareBatch` views straight out of the two
-    sorted whole-run buffers.  Returns one batch per recorded window
-    (``None`` for windows that emitted no groups -- the machine never
-    splits those).
+    per-window mask + ``np.compress`` split emits.  ``misses_only``
+    skips the page/count partition -- the per-row totals then come from
+    one presence and one count-weighted bincount, exact because the
+    integer weights stay far below 2**53 -- for machines whose consumers
+    read row columns only (``Machine._misses_only_split``).
     """
     c = data.columns
     wgp = np.asarray(c["window_group_ptr"])
     gpp = np.asarray(c["group_page_ptr"])
     pages = np.asarray(c["pages"])
     counts = np.asarray(c["counts"])
-    mlp_col = np.asarray(c["group_mlp"])
-    lf_col = np.asarray(c["group_load_fraction"])
-    lab_col = np.asarray(c["group_label"])
-    num_windows = wgp.size - 1
     num_groups = gpp.size - 1
     T = num_tiers
 
     group_of = np.repeat(np.arange(num_groups, dtype=np.int64), np.diff(gpp))
     key = group_of * T + placement[pages].astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    pages_s = np.ascontiguousarray(pages[order])
-    counts_s = np.ascontiguousarray(counts[order])
-
     sizes = np.bincount(key, minlength=num_groups * T)
     rows = np.flatnonzero(sizes)
-    row_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes[rows], dtype=np.int64)]
-    )
-    row_group = rows // T
-    row_tier = (rows % T).astype(np.intp)
-    if rows.size:
-        row_misses = np.add.reduceat(counts_s, row_offsets[:-1])
+    if misses_only:
+        row_misses = np.bincount(key, weights=counts, minlength=num_groups * T)[
+            rows
+        ].astype(np.int64)
+        row_offsets = pages_s = counts_s = None
     else:
-        row_misses = np.empty(0, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        pages_s = np.ascontiguousarray(pages[order])
+        counts_s = np.ascontiguousarray(counts[order])
+        row_offsets = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(sizes[rows], dtype=np.int64)]
+        )
+        if rows.size:
+            row_misses = np.add.reduceat(counts_s, row_offsets[:-1])
+        else:
+            row_misses = np.empty(0, dtype=np.int64)
+    row_group = rows // T
     # Rows are group-ascending, groups are window-ascending, so each
     # window's rows are one contiguous range.
-    row_window_ptr = np.searchsorted(row_group, wgp)
-    group_labels = [data.labels[int(code)] for code in lab_col]
-    unit_all = np.empty(rows.size, dtype=np.float64)
-    stall_all = np.empty(rows.size, dtype=np.float64)
+    split = StaticSplit(
+        T, row_group, (rows % T).astype(np.intp), row_misses, row_offsets,
+        np.searchsorted(row_group, wgp), pages_s, counts_s,
+    )
+    _readonly(split.row_group, split.row_tier, split.row_misses, split.row_offsets,
+              split.row_window_ptr, split.pages_s, split.counts_s)
+    return split
+
+
+def static_batches(data, split: StaticSplit) -> List[Optional[ShareBatch]]:
+    """One run's per-window :class:`ShareBatch` views over ``split``.
+
+    Rows keep the legacy order (per group: tier 0 then tier 1, ...), so
+    solver, sampler, counter and trace consumers see byte-identical
+    inputs.  Returns one batch per recorded window (``None`` for windows
+    that emitted no groups -- the machine never splits those).
+    """
+    c = data.columns
+    wgp = np.asarray(c["window_group_ptr"])
+    mlp_col = np.asarray(c["group_mlp"])
+    lf_col = np.asarray(c["group_load_fraction"])
+    group_labels = [data.labels[int(code)] for code in c["group_label"]]
+    T = split.num_tiers
+    rwp = split.row_window_ptr
+    offsets = split.row_offsets
+    unit_all = np.empty(split.row_group.size, dtype=np.float64)
+    stall_all = np.empty(split.row_group.size, dtype=np.float64)
 
     batches: List[Optional[ShareBatch]] = []
-    for w in range(num_windows):
+    for w in range(wgp.size - 1):
         if wgp[w + 1] == wgp[w]:
             batches.append(None)
             continue
-        r0, r1 = int(row_window_ptr[w]), int(row_window_ptr[w + 1])
-        n = r1 - r0
-        if n == 0:
+        r0, r1 = int(rwp[w]), int(rwp[w + 1])
+        if r1 == r0:
             # Groups recorded, but every one of them was empty.
             batches.append(_empty_share_batch(T))
             continue
-        base = int(row_offsets[r0])
-        end = int(row_offsets[r1])
-        g = row_group[r0:r1]
+        if offsets is None:
+            window_offsets = pages_buf = counts_buf = None
+        else:
+            base, end = int(offsets[r0]), int(offsets[r1])
+            window_offsets = offsets[r0 : r1 + 1] - base
+            pages_buf = split.pages_s[base:end]
+            counts_buf = split.counts_s[base:end]
+        g = split.row_group[r0:r1]
         batches.append(
             ShareBatch(
-                n=n,
+                n=r1 - r0,
                 group_index=g - int(wgp[w]),
-                tier_codes=row_tier[r0:r1],
+                tier_codes=split.row_tier[r0:r1],
                 mlp=mlp_col[g],
                 load_fraction=lf_col[g],
-                misses=row_misses[r0:r1],
-                offsets=row_offsets[r0 : r1 + 1] - base,
-                pages_buf=pages_s[base:end],
-                counts_buf=counts_s[base:end],
+                misses=split.row_misses[r0:r1],
+                offsets=window_offsets,
+                pages_buf=pages_buf,
+                counts_buf=counts_buf,
                 labels=[group_labels[int(gi)] for gi in g],
                 unit_stall_cycles=unit_all[r0:r1],
                 stall_scratch=stall_all[r0:r1],
@@ -200,6 +272,13 @@ def build_static_batches(
             )
         )
     return batches
+
+
+def build_static_batches(
+    data, placement: np.ndarray, num_tiers: int
+) -> List[Optional[ShareBatch]]:
+    """Pre-split every recorded window by a *frozen* placement."""
+    return static_batches(data, split_static(data, placement, num_tiers))
 
 
 class EntryMetaPlan:
@@ -481,32 +560,61 @@ def plan_keyed_pebs_batches(sampler, record_plan, data, placement) -> WindowSamp
     return WindowSamplePlan(out)
 
 
+def _shared_jitter(jitter, data, sizes: np.ndarray) -> None:
+    """Prestage ``jitter`` from the trace's memo (drawn on first use).
+
+    The values depend only on the Philox key (seed, purpose), the noise
+    scale and the per-window sizes -- trace-determined for a given tier
+    count -- so every run of the process that shares them shares one
+    read-only tensor.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    key = ("jitter", jitter.philox_key.tobytes(), jitter.noise, sizes.tobytes())
+    jitter.use_plan(data.memoized(key, lambda: jitter.draw_plan(sizes)))
+
+
+def _shared_pebs_pos(record_plan, data) -> PebsPosPlan:
+    """The positive-record index of a store-served record plan, built once."""
+
+    def build() -> PebsPosPlan:
+        plan = build_pebs_pos(record_plan, data)
+        _readonly(plan._ptr, plan.pos_idx, plan.pages_pos, plan.recs_pos, plan.sorted_unique)
+        return plan
+
+    return data.memoized(("pebs_pos", record_plan.key), build)
+
+
 def _attach_keyed(machine, data) -> bool:
     """Prestage schema-2 keyed draw tensors for *any* policy.
 
     Keyed draws are decision-independent -- per window they cover every
     trace entry (PEBS) or every (group, tier) cell (jitter) regardless
-    of placement -- so under replay the whole run's draws are computed
-    here, at attach time, outside the timed region.  The live keyed
-    fallback draws the same substreams per window, so engaging a plan
-    never changes a single value.
+    of placement -- so under replay the whole run's draws are fetched
+    here, at attach time, outside the timed region.  They are
+    compute-once artefacts of the trace: the PEBS records come from the
+    trace store (memo, then sidecar file, then one draw), the jitter
+    tensors from the trace's memo.  The live keyed fallback draws the
+    same substreams per window, so engaging a plan never changes a
+    single value.
     """
-    from repro.hw.substream import plan_keyed_records
+    from repro.workloads.tracestore import get_default_trace_store
 
     wgp = np.asarray(data.columns["window_group_ptr"])
     groups_per_window = np.diff(wgp)
     T = machine.num_tiers
     engaged = False
     if machine._keyed_cha is not None:
-        machine._keyed_cha.prestage(2 * T * groups_per_window)
+        _shared_jitter(machine._keyed_cha, data, 2 * T * groups_per_window)
         engaged = True
     if machine._keyed_perf is not None:
-        machine._keyed_perf.prestage(
-            np.where(groups_per_window > 0, 2 * T, 0)
+        _shared_jitter(
+            machine._keyed_perf, data, np.where(groups_per_window > 0, 2 * T, 0)
         )
         engaged = True
     if machine._keyed_pebs is not None:
-        machine._pebs_records = plan_keyed_records(machine._keyed_pebs, data)
+        machine._pebs_records = get_default_trace_store().pebs_records(
+            data, machine._keyed_pebs
+        )
         engaged = True
     return engaged
 
@@ -549,7 +657,18 @@ def attach(machine) -> bool:
                 engaged = True
     policy = machine.policy
     if getattr(policy, "static_placement", False) and machine.memory.fully_allocated:
-        batches = build_static_batches(data, machine.memory.placement, machine.num_tiers)
+        # The split depends on (trace, tier count, placement) only, so
+        # runs sharing them share one; the placement enters by content,
+        # never by assuming which runs place alike.
+        placement = machine.memory.placement
+        T = machine.num_tiers
+        misses_only = machine._misses_only_split
+        split = data.memoized(
+            ("static_split", T, misses_only, placement.dtype.str,
+             hashlib.sha256(placement.tobytes()).hexdigest()),
+            lambda: split_static(data, placement, T, misses_only),
+        )
+        batches = static_batches(data, split)
         machine._split_plan = StaticSplitPlan(batches)
         engaged = True
         if (
@@ -596,15 +715,11 @@ def attach(machine) -> bool:
         # Dynamic placement: the split itself stays in the loop, but its
         # trace-determined inputs (key bases, float counts, sortedness)
         # leave it.  The plan depends only on (trace, num_tiers), so
-        # lockstep multi-run members replaying the same trace share one.
-        cached = getattr(data, "_entry_meta_cache", None)
-        if cached is None or cached[0] != machine.num_tiers:
-            cached = (machine.num_tiers, build_entry_meta(data, machine.num_tiers))
-            try:
-                data._entry_meta_cache = cached
-            except AttributeError:  # pragma: no cover - slotted data
-                pass
-        machine._entry_meta = cached[1]
+        # every run of the process replaying the same trace shares one.
+        T = machine.num_tiers
+        machine._entry_meta = data.memoized(
+            ("entry_meta", T), lambda: build_entry_meta(data, T)
+        )
         engaged = True
         if (
             machine._keyed_pebs is not None
@@ -616,7 +731,7 @@ def attach(machine) -> bool:
             # positive-record subset; the merge becomes a gather over
             # it (latency-reporting samplers keep the full records --
             # their per-entry latency lookup needs the solved shares).
-            machine._pebs_pos = build_pebs_pos(machine._pebs_records, data)
+            machine._pebs_pos = _shared_pebs_pos(machine._pebs_records, data)
             machine._pebs_records = None
     return engaged
 
@@ -626,6 +741,7 @@ __all__ = [
     "EntryMetaPlan",
     "NormalDrawStream",
     "PebsPosPlan",
+    "StaticSplit",
     "StaticSplitPlan",
     "WindowSamplePlan",
     "WindowSolvePlan",
@@ -638,4 +754,6 @@ __all__ = [
     "plan_pebs_batches",
     "plan_window_solves",
     "plans_enabled",
+    "split_static",
+    "static_batches",
 ]

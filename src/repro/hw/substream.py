@@ -114,6 +114,11 @@ class KeyedPebsSampler:
         self._code_mask = mask
         self._all_codes = bool(mask.all())
 
+    @property
+    def philox_key(self) -> np.ndarray:
+        """The (seed, "pebs") Philox key every window's draw uses."""
+        return self._key
+
     def window_records(
         self, window: int, counts: np.ndarray, lf_entries: Optional[np.ndarray]
     ) -> np.ndarray:
@@ -251,11 +256,12 @@ class KeyedJitter:
     """Keyed multiplicative jitter factors, one substream per window.
 
     Serves ``exp(Normal(0, noise))`` factors whose values depend only
-    on (seed, purpose, window, position-in-window).  ``prestage``
+    on (seed, purpose, window, position-in-window).  :meth:`draw_plan`
     freezes the whole run's draws into one flat tensor (the per-window
-    sizes are trace-determined); :meth:`window_values` then slices
-    instead of drawing -- bit-identical by construction, since both
-    paths evaluate the same keyed generator over the same sizes.
+    sizes are trace-determined) and :meth:`use_plan` installs one;
+    :meth:`window_values` then slices instead of drawing -- bit-identical
+    by construction, since both paths evaluate the same keyed generator
+    over the same sizes.
     """
 
     __slots__ = ("noise", "_key", "_plan_values", "_plan_ptr")
@@ -268,6 +274,11 @@ class KeyedJitter:
         self._plan_values: Optional[np.ndarray] = None
         self._plan_ptr: Optional[np.ndarray] = None
 
+    @property
+    def philox_key(self) -> np.ndarray:
+        """The (seed, purpose) Philox key every window's draw uses."""
+        return self._key
+
     def window_values(self, window: int, n: int) -> np.ndarray:
         if self._plan_values is not None:
             return self._plan_values[self._plan_ptr[window] : self._plan_ptr[window + 1]]
@@ -276,33 +287,46 @@ class KeyedJitter:
     def _draw(self, window: int, n: int) -> np.ndarray:
         return np.exp(keyed_generator(self._key, window).normal(0.0, self.noise, size=n))
 
-    def prestage(self, sizes_per_window: np.ndarray) -> None:
-        """Draw every window's factors now; later calls serve slices."""
+    def draw_plan(self, sizes_per_window: np.ndarray):
+        """Every window's factors as one read-only ``(values, ptr)`` pair."""
         sizes = np.asarray(sizes_per_window, dtype=np.int64)
         chunks: List[np.ndarray] = []
         for w in range(sizes.size):
             n = int(sizes[w])
             if n > 0:
                 chunks.append(self._draw(w, n))
-        self._plan_ptr = np.concatenate(
+        ptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
         )
-        self._plan_values = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-        )
+        values = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
+        ptr.setflags(write=False)
+        values.setflags(write=False)
+        return values, ptr
+
+    def use_plan(self, plan) -> None:
+        """Serve later windows as slices of a :meth:`draw_plan` result."""
+        self._plan_values, self._plan_ptr = plan
 
 
 class PebsRecordPlan:
-    """Whole-run prestaged keyed PEBS records, aligned with trace entries."""
+    """Whole-run prestaged keyed PEBS records, aligned with trace entries.
 
-    __slots__ = ("_records", "_ptr")
+    ``key`` is the content address the trace store files the plan under
+    (:func:`repro.workloads.tracestore.keyed_plan_key`); None for plans
+    drawn outside the store.
+    """
 
-    def __init__(self, records: np.ndarray, entry_ptr: np.ndarray):
-        self._records = records
-        self._ptr = entry_ptr
+    __slots__ = ("records", "entry_ptr", "key")
+
+    def __init__(
+        self, records: np.ndarray, entry_ptr: np.ndarray, key: Optional[str] = None
+    ):
+        self.records = records
+        self.entry_ptr = entry_ptr
+        self.key = key
 
     def window_records(self, window: int) -> np.ndarray:
-        return self._records[self._ptr[window] : self._ptr[window + 1]]
+        return self.records[self.entry_ptr[window] : self.entry_ptr[window + 1]]
 
 
 def plan_keyed_records(sampler: KeyedPebsSampler, data) -> PebsRecordPlan:

@@ -25,7 +25,10 @@ stream a first-class artifact:
   workload fingerprint + window budget, hashed with the same
   canonicaliser as :mod:`repro.exp.cache`): the first run records, every
   subsequent run -- any policy, ratio, contender, or worker process --
-  replays.
+  replays.  It also serves the schema-2 keyed PEBS record plans drawn
+  over a trace (:meth:`TraceStore.pebs_records`): each is drawn once,
+  kept as a ``<trace>.pebs-<hash>.npy`` sidecar beside the ``.npt``,
+  and memory-mapped by every later run and worker.
 
 Disable replay globally with ``REPRO_NO_REPLAY=1`` or per-call; point
 the on-disk layer somewhere with ``REPRO_TRACE_DIR`` (defaults to
@@ -34,14 +37,21 @@ the on-disk layer somewhere with ``REPRO_TRACE_DIR`` (defaults to
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
 import json
 import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: sidecars go unlocked
+    fcntl = None
 
 import numpy as np
 
@@ -60,6 +70,10 @@ TRACE_MAGIC = b"NPT1"
 
 #: Alignment of the first column block (and the header padding).
 _ALIGN = 64
+
+#: Bump when the keyed-record sidecar layout or the keyed PEBS draw
+#: changes; older sidecars then never match a key again.
+KEYED_PLAN_VERSION = 1
 
 #: Windows generated per bulk ``next_windows`` call during recording.
 RECORD_CHUNK = 64
@@ -145,6 +159,12 @@ class TraceData:
     columns: Dict[str, np.ndarray]
     source_class: str = ""
     path: Optional[Path] = None
+    #: Identity of the file the columns were read from: header digest,
+    #: size and mtime (None for traces not read from disk).
+    source_id: Optional[str] = None
+    #: Artefacts derived from this trace (draw plans, splits), shared by
+    #: every run in the process that replays this object.
+    memo: Dict[Any, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_windows(self) -> int:
@@ -160,6 +180,14 @@ class TraceData:
 
     def nbytes(self) -> int:
         return int(sum(col.nbytes for col in self.columns.values()))
+
+    def memoized(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``memo[key]``, calling ``build()`` to fill it on first use."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = build()
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +276,12 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
         columns=columns,
         source_class=type(workload).__qualname__,
     )
+
+
+def _entry_ptr(data: TraceData) -> np.ndarray:
+    """First trace entry of each window (``num_windows + 1`` long)."""
+    c = data.columns
+    return np.asarray(c["group_page_ptr"][c["window_group_ptr"]], dtype=np.int64)
 
 
 def _ptr(sizes: List[int]) -> np.ndarray:
@@ -366,6 +400,7 @@ def read_npt(path: PathLike, mmap: bool = True) -> TraceData:
             blob = fh.read(header_len)
             if len(blob) < header_len:
                 raise TraceFormatError(f"{path}: truncated header")
+            st = os.fstat(fh.fileno())
     except OSError as exc:
         raise TraceFormatError(f"{path}: unreadable ({exc})") from exc
     try:
@@ -423,6 +458,9 @@ def read_npt(path: PathLike, mmap: bool = True) -> TraceData:
         columns=columns,
         source_class=header.get("source_class", ""),
         path=path,
+        source_id=(
+            f"{hashlib.sha256(blob).hexdigest()}:{st.st_size}:{st.st_mtime_ns}"
+        ),
     )
 
 
@@ -625,6 +663,106 @@ class ReplayWorkload(Workload):
 
 
 # ---------------------------------------------------------------------------
+# Compute-once keyed PEBS record sidecars.
+# ---------------------------------------------------------------------------
+
+
+def keyed_plan_key(data: TraceData, sampler) -> str:
+    """Content address of the keyed PEBS records ``sampler`` draws over ``data``.
+
+    The records are a pure function of the trace's entries, the
+    sampler's Philox key (seed and purpose), its rate and ``loads_only``
+    -- and of numpy's binomial sampler, whose version is hashed too.
+    The trace enters by its file identity (header digest, size, mtime),
+    so an overwritten ``.npt`` never serves an older trace's sidecar.
+    """
+    from repro.exp.cache import content_hash
+
+    return content_hash(
+        {
+            "keyed_plan": KEYED_PLAN_VERSION,
+            "numpy": np.__version__,
+            "trace": data.source_id,
+            "philox_key": [int(k) for k in sampler.philox_key],
+            "rate": int(sampler.rate),
+            "loads_only": bool(sampler.loads_only),
+        }
+    )
+
+
+def sidecar_path(data: TraceData, key: str) -> Optional[Path]:
+    """``<trace>.pebs-<hash>.npy`` beside the trace's ``.npt`` (None: no file)."""
+    if data.path is None or data.source_id is None:
+        return None
+    return data.path.with_name(f"{data.path.stem}.pebs-{key[:32]}.npy")
+
+
+def _discard_sidecars(trace_path: Path) -> None:
+    """Unlink every record sidecar and lock file of the trace at ``trace_path``."""
+    for stale in trace_path.parent.glob(f"{trace_path.stem}.pebs-*"):
+        try:
+            stale.unlink()
+        except OSError:
+            pass
+
+
+def _load_sidecar(path: Path, entries: int) -> Optional[np.ndarray]:
+    """The memory-mapped records at ``path``; None when absent or unusable.
+
+    A truncated file, a bad ``.npy`` header, or a shape/dtype that does
+    not fit the trace all read as a miss, and the caller redraws.
+    """
+    try:
+        records = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if records.dtype != np.dtype(np.int64) or records.shape != (entries,):
+        return None
+    # Plain ndarray over the same mapping (cheaper slicing, as in read_npt).
+    return records.view(np.ndarray)
+
+
+def _write_sidecar(path: Path, records: np.ndarray) -> None:
+    """Persist records atomically (write-temp + rename)."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npy.tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.ascontiguousarray(records, dtype=np.int64), allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+@contextlib.contextmanager
+def _exclusive(lock_path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``lock_path`` (best effort).
+
+    When the lock file cannot be opened (read-only directory) or the
+    platform has no ``flock``, the body runs unlocked: concurrent
+    workers may then both draw, and the atomic rename keeps either
+    result whole.
+    """
+    fd = None
+    if fcntl is not None:
+        try:
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except OSError:
+            if fd is not None:
+                os.close(fd)
+            fd = None
+    try:
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)
+
+
+# ---------------------------------------------------------------------------
 # The content-addressed trace cache.
 # ---------------------------------------------------------------------------
 
@@ -654,6 +792,11 @@ class TraceStore:
         self.disk_hits = 0
         self.misses = 0
         self.records = 0
+        #: Keyed PEBS record plans drawn / served without drawing.
+        self.plan_draws = 0
+        self.plan_hits = 0
+        #: The trace :meth:`load` served last.
+        self._loaded: Optional[TraceData] = None
 
     def path_for(self, key: str) -> Optional[Path]:
         if self.directory is None:
@@ -682,6 +825,82 @@ class TraceStore:
                 return data
         self.misses += 1
         return None
+
+    def load(self, path: PathLike) -> TraceData:
+        """The trace at ``path``, shared by consecutive runs that replay it.
+
+        The store keeps the last trace it loaded: every run of a process
+        that replays that file gets the same :class:`TraceData` -- and
+        with it the trace's memoised draw plans and splits -- without
+        re-reading it.  Loading another file replaces it, so a
+        long-lived worker maps and memoises one trace at a time
+        (campaigns dispatch a trace's runs back to back).  Raises like
+        :func:`read_npt` for unreadable files.
+        """
+        path = Path(path)
+        data = self._loaded
+        if data is not None and data.path == path:
+            self.memory_hits += 1
+            return data
+        self._loaded = None  # release the previous trace before mapping the next
+        data = self._loaded = read_npt(path)
+        self.disk_hits += 1
+        return data
+
+    def pebs_records(self, data: TraceData, sampler):
+        """The whole-run keyed PEBS records ``sampler`` draws over ``data``.
+
+        Compute-once: served from the trace's in-process memo, else from
+        its sidecar file, and drawn with
+        :func:`~repro.hw.substream.plan_keyed_records` only on a miss --
+        under a per-sidecar lock, so concurrent workers never draw the
+        same tensor twice.  Every path returns the same values (the
+        sidecar holds exactly what the draw returned), read-only.
+        """
+        key = keyed_plan_key(data, sampler)
+        memo_key = ("pebs_records", key)
+        plan = data.memo.get(memo_key)
+        if plan is not None:
+            self.plan_hits += 1
+            return plan
+        plan = data.memo[memo_key] = self._load_or_draw(data, sampler, key)
+        return plan
+
+    def _load_or_draw(self, data: TraceData, sampler, key: str):
+        from repro.hw.substream import PebsRecordPlan
+
+        path = sidecar_path(data, key)
+        if path is None:
+            return self._draw(data, sampler, key)
+        entries = data.num_entries
+        records = _load_sidecar(path, entries)
+        if records is None:
+            with _exclusive(path.with_suffix(".lock")):
+                # Another worker may have drawn while we waited.
+                records = _load_sidecar(path, entries)
+                if records is None:
+                    plan = self._draw(data, sampler, key)
+                    try:
+                        _write_sidecar(path, plan.records)
+                    except OSError:
+                        return plan
+                    # Serve the mapping, not the private copy: every
+                    # worker then shares one page-cache copy.
+                    records = _load_sidecar(path, entries)
+                    if records is None:  # pragma: no cover - vanished file
+                        return plan
+                    return PebsRecordPlan(records, plan.entry_ptr, key)
+        self.plan_hits += 1
+        return PebsRecordPlan(records, _entry_ptr(data), key)
+
+    def _draw(self, data: TraceData, sampler, key: str):
+        from repro.hw import substream
+
+        self.plan_draws += 1
+        plan = substream.plan_keyed_records(sampler, data)
+        plan.records.setflags(write=False)
+        plan.key = key
+        return plan
 
     def ensure(self, workload: Workload, max_windows: int) -> Tuple[str, TraceData]:
         """The cached stream for ``workload``, recording it on first use."""
@@ -718,6 +937,9 @@ class TraceStore:
         path = self.path_for(key)
         if path is not None:
             try:
+                # Sidecars of a replaced trace can never match its new
+                # identity; drop them (and their locks) with it.
+                _discard_sidecars(path)
                 write_npt(data, path)
                 # Re-open memory-mapped so replays share the page
                 # cache instead of this process's private arrays.
@@ -757,6 +979,7 @@ class TraceStore:
         with self._lock:
             self._memory.clear()
             self._memory_bytes = 0
+            self._loaded = None
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -764,6 +987,8 @@ class TraceStore:
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "records": self.records,
+            "plan_draws": self.plan_draws,
+            "plan_hits": self.plan_hits,
         }
 
 
@@ -826,6 +1051,7 @@ def set_replay_override(value: Optional[bool]) -> Optional[bool]:
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
+    "KEYED_PLAN_VERSION",
     "NO_REPLAY_ENV",
     "RECORD_CHUNK",
     "ReplayWorkload",
@@ -838,6 +1064,7 @@ __all__ = [
     "TraceStore",
     "default_trace_dir",
     "get_default_trace_store",
+    "keyed_plan_key",
     "npt_from_trace_dict",
     "read_npt",
     "record_stream",
@@ -846,6 +1073,7 @@ __all__ = [
     "reset_default_trace_store",
     "set_default_trace_store",
     "set_replay_override",
+    "sidecar_path",
     "trace_dict_from_npt",
     "trace_key",
     "write_npt",

@@ -133,7 +133,7 @@ class TestKeyedDrawInvariance:
     def test_jitter_prestage_matches_live(self):
         sizes = np.array([8, 0, 12, 4, 0, 2], dtype=np.int64)
         planned = KeyedJitter(seed=3, purpose="cha", noise=0.05)
-        planned.prestage(sizes)
+        planned.use_plan(planned.draw_plan(sizes))
         live = KeyedJitter(seed=3, purpose="cha", noise=0.05)
         for w, n in enumerate(sizes):
             np.testing.assert_array_equal(
