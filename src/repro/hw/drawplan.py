@@ -131,7 +131,6 @@ def _empty_share_batch(num_tiers: int) -> ShareBatch:
         counts_buf=np.empty(0, dtype=np.int64),
         labels=[],
         unit_stall_cycles=np.empty(0, dtype=np.float64),
-        stall_scratch=np.empty(0, dtype=np.float64),
         num_tiers=num_tiers,
     )
 
@@ -142,8 +141,8 @@ class StaticSplit:
     Read-only and run-independent: every run that replays the same
     trace on the same tier count with the same placement can share one
     (:func:`attach` memoises it on the trace).  Each run still wraps it
-    in its own :class:`ShareBatch` views, whose solver scratch
-    (``unit_stall_cycles``/``stall_scratch``) it owns.
+    in its own :class:`ShareBatch` views, whose solver output column
+    (``unit_stall_cycles``) it owns.
     """
 
     __slots__ = (
@@ -234,7 +233,6 @@ def static_batches(data, split: StaticSplit) -> List[Optional[ShareBatch]]:
     rwp = split.row_window_ptr
     offsets = split.row_offsets
     unit_all = np.empty(split.row_group.size, dtype=np.float64)
-    stall_all = np.empty(split.row_group.size, dtype=np.float64)
 
     batches: List[Optional[ShareBatch]] = []
     for w in range(wgp.size - 1):
@@ -267,7 +265,6 @@ def static_batches(data, split: StaticSplit) -> List[Optional[ShareBatch]]:
                 counts_buf=counts_buf,
                 labels=[group_labels[int(gi)] for gi in g],
                 unit_stall_cycles=unit_all[r0:r1],
-                stall_scratch=stall_all[r0:r1],
                 num_tiers=T,
             )
         )

@@ -28,7 +28,7 @@ from repro.hw import drawplan
 from repro.hw.cha import ChaTorCounters
 from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
-from repro.hw.stall import ShareBatch, StallModel
+from repro.hw.stall import StallModel
 from repro.obs import Observability, resolve as resolve_obs
 from repro.mem.page import Tier, tier_key
 from repro.mem.tiered import TieredMemory
@@ -596,15 +596,10 @@ class Machine:
             slow_misses += loads[tier].misses
         label_stalls: Dict[str, float] = {}
         shares = outcome.shares
-        if isinstance(shares, ShareBatch):
-            stalls = shares.misses_f * shares.unit_stall_cycles
-            for i, label in enumerate(shares.labels):
-                prefix = label.split(":", 1)[0] if label else ""
-                label_stalls[prefix] = label_stalls.get(prefix, 0.0) + float(stalls[i])
-        else:
-            for share in shares:
-                prefix = share.label.split(":", 1)[0] if share.label else ""
-                label_stalls[prefix] = label_stalls.get(prefix, 0.0) + share.stall_cycles()
+        stalls = shares.misses_f * shares.unit_stall_cycles
+        for i, label in enumerate(shares.labels):
+            prefix = label.split(":", 1)[0] if label else ""
+            label_stalls[prefix] = label_stalls.get(prefix, 0.0) + float(stalls[i])
         self.obs.recorder.append_window(
             window=self._window,
             duration_cycles=duration,

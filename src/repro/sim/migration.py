@@ -5,30 +5,33 @@ paper's systems share: ``move_pages()`` cost accounting, THP-aware
 whole-huge-page moves (§5.2), LRU victim demotion, and cumulative
 promotion/demotion counters (the paper's Table 2 metric).
 
-With an N-tier topology the engine routes migrations hop-by-hop:
-promotions always target tier 0; demotions follow the topology's
-demotion mode -- ``"through"`` moves a victim one tier down (cascading
-further demotions when the intermediate tier is full), ``"direct"``
-sends it straight to the bottom tier.  Every hop is separately subject
-to capacity admission (and the optional :attr:`MigrationEngine.admission`
+One entry point applies a window's
+:class:`~repro.sim.policy_api.Decision`: :meth:`MigrationEngine.apply_window`.
+It runs in three phases:
+
+* **plan** -- resolve the LRU reclaim, the explicit demotions, any
+  cascades, and the promotions, in that order, against a
+  :class:`~repro.mem.tiered.PlacementOverlay`: victim selection and
+  capacity clipping see the placement the earlier hops will have
+  produced, without touching live state.  The result is a
+  :class:`MovePlan` of ordered, pre-clipped hops;
+* **move** -- commit every hop with one fused placement scatter
+  (:meth:`~repro.mem.tiered.TieredMemory.apply_moves`);
+* **account** -- charge costs and counters hop by hop, in plan order.
+
+With an N-tier topology hops are routed tier by tier: promotions always
+target tier 0; demotions follow the topology's demotion mode --
+``"through"`` moves a victim one tier down (first cascading that tier's
+own LRU victims further down when it is full), ``"direct"`` sends it
+straight to the bottom tier.  Every hop is separately subject to
+capacity admission (and the optional :attr:`MigrationEngine.admission`
 hook), and its copy traffic is charged to the two tiers it actually
 touches.  Both modes reduce to the single fast->slow hop on the default
 two-tier pair.
 
-The window hot path is a fused plan/apply split
-(:meth:`MigrationEngine.apply_window`): the plan phase replays the
-per-hop control flow against a :class:`~repro.mem.tiered.PlacementOverlay`
--- one ``tier_of`` gather per order batch, victim selection and capacity
-clipping against the *planned* placement -- and resolves the whole
-window (reclaim, explicit demotions, cascades, promotions) into a single
-:class:`MovePlan`; the apply phase commits the plan with one fused
-placement scatter (:meth:`~repro.mem.tiered.TieredMemory.apply_moves`)
-and then accounts every hop in order.  The per-hop methods
-(:meth:`~MigrationEngine.demote_lru` / :meth:`~MigrationEngine.demote` /
-:meth:`~MigrationEngine.promote`, reachable together through
-:meth:`~MigrationEngine.apply_window_legacy`) stay importable as the
-exactness reference -- the property tests pin the two paths
-bit-identical.
+The exactness reference -- the same decision applied one
+``TieredMemory.move`` per hop, mutating as it goes -- lives with the
+property tests that pin this engine to it, not here.
 """
 
 from __future__ import annotations
@@ -128,18 +131,18 @@ class MovePlan:
     """One window's migrations resolved into ordered, pre-clipped hops.
 
     Each hop is ``(pages, src, dst, promoted)`` with the page array
-    sorted, deduped, and clipped exactly as the corresponding live
-    :meth:`TieredMemory.move` call would have returned it; hop order is
-    the live path's execution order (cascades ahead of the hop that
-    triggered them).
+    sorted, deduped, and clipped exactly as a :meth:`TieredMemory.move`
+    call at that point of a hop-at-a-time apply would have returned it;
+    hop order is that apply's execution order (cascades ahead of the hop
+    that triggered them).
 
-    ``program`` mirrors the per-hop path's *outcome merge tree*: a
-    nested list whose leaves are hop indices and whose inner lists are
-    the sub-outcomes (phases, cascade chains) the legacy path summed
-    before merging upward.  Replaying it keeps the float association of
-    ``cost_cycles`` -- the one outcome field whose per-hop terms are
-    inexact -- bit-identical to the reference, where a flat left fold
-    over the hops can drift by an ulp on multi-hop windows.
+    ``program`` is the *outcome merge tree*: a nested list whose leaves
+    are hop indices and whose inner lists are the sub-outcomes (phases,
+    cascade chains) summed before merging upward.  Replaying it fixes
+    the float association of ``cost_cycles`` -- the one outcome field
+    whose per-hop terms are inexact -- to that of a hop-at-a-time
+    apply, where a flat left fold over the hops can drift by an ulp on
+    multi-hop windows.
     """
 
     hops: List[Tuple[np.ndarray, int, int, bool]] = field(default_factory=list)
@@ -206,134 +209,18 @@ class MigrationEngine:
             return pages
         return np.asarray(self.admission(src, dst, pages), dtype=np.int64)
 
-    # -- operations -------------------------------------------------------------
-
-    def demote_lru(
-        self, count: int, protect: np.ndarray, victim_mode: str = "cold"
-    ) -> MigrationOutcome:
-        """Demote up to ``count`` reclaim victims from the fast tier.
-
-        ``victim_mode`` selects the reclaim walker (see
-        :class:`repro.sim.policy_api.Decision`): ``"cold"`` only touches
-        genuinely inactive pages, ``"lru_tail"`` takes the coldest pages
-        unconditionally, and ``"fifo"`` walks arrival order -- evicting
-        hot pages and causing refault ping-pong, as simple watermark
-        reclaim does.
-        """
-        if victim_mode not in ("cold", "lru_tail", "fifo"):
-            raise ValueError(f"unknown victim mode {victim_mode!r}")
-        if count <= 0:
-            # Nothing to reclaim: skip the mean-activity threshold and
-            # the victim walk entirely.
-            return MigrationOutcome()
-        max_activity = None
-        if victim_mode == "cold":
-            max_activity = (
-                self.config.cold_activity_fraction * self.memory.mean_activity(Tier.FAST)
-            )
-        victims = self.memory.lru_victims(
-            Tier.FAST,
-            count,
-            protect=protect,
-            max_activity=max_activity,
-            fifo=victim_mode == "fifo",
-        )
-        return self.demote(victims)
-
-    def demote(self, pages: np.ndarray) -> MigrationOutcome:
-        """Demote pages one hop down (or straight to the bottom tier).
-
-        Pages are routed per source tier; a hop into a *full*
-        intermediate tier first cascades that tier's own LRU victims
-        further down to make room (demote-through semantics).
-        """
-        pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
-        outcome = MigrationOutcome()
-        if pages.size == 0:
-            return outcome
-        place = self.memory.tier_of(pages)
-        for src in range(self.num_tiers - 1):
-            sub = pages[place == src]
-            if sub.size == 0:
-                continue
-            dst = self._demote_dst(src)
-            sub = self._admit(src, dst, sub)
-            if sub.size == 0:
-                continue
-            if dst < self.num_tiers - 1:
-                deficit = sub.size - self.memory.free_pages(dst)
-                if deficit > 0:
-                    outcome.merge(self._cascade(dst, deficit, protect=sub))
-            moved = self.memory.move(sub, dst, src=src)
-            outcome.merge(self._account(moved, promoted=False, src=src, dst=dst))
-        return outcome
-
-    def _cascade(self, tier: int, count: int, protect: np.ndarray) -> MigrationOutcome:
-        """Push ``count`` LRU victims out of an intermediate tier.
-
-        Recursion depth is bounded by the tier chain: each level demotes
-        one hop further down, and the bottom tier always has room.
-        """
-        outcome = MigrationOutcome()
-        victims = self.memory.lru_victims(tier, count, protect=protect)
-        if victims.size == 0:
-            return outcome
-        dst = self._demote_dst(tier)
-        victims = self._admit(tier, dst, victims)
-        if victims.size == 0:
-            return outcome
-        if dst < self.num_tiers - 1:
-            deficit = victims.size - self.memory.free_pages(dst)
-            if deficit > 0:
-                outcome.merge(self._cascade(dst, deficit, protect=victims))
-        moved = self.memory.move(victims, dst, src=tier)
-        outcome.merge(self._account(moved, promoted=False, src=tier, dst=dst))
-        return outcome
-
-    def promote(self, pages: np.ndarray, make_room: bool = False) -> MigrationOutcome:
-        """Promote pages to tier 0; optionally demote LRU victims first.
-
-        ``make_room`` models policies that reclaim on-demand (TPP's
-        watermark-based demotion); PACT instead reserves space ahead of
-        time through its eager-demotion rule.  Pages are promoted per
-        source tier, nearest tier first.
-        """
-        pages = self._expand_thp(np.asarray(pages, dtype=np.int64))
-        outcome = MigrationOutcome()
-        if pages.size == 0:
-            return outcome
-        if make_room:
-            deficit = pages.size - self.memory.free_pages(Tier.FAST)
-            if deficit > 0:
-                outcome.merge(self.demote_lru(deficit, protect=pages))
-        place = self.memory.tier_of(pages)
-        top = int(Tier.FAST)
-        for src in range(1, self.num_tiers):
-            sub = pages[place == src]
-            if sub.size == 0:
-                continue
-            sub = self._admit(src, top, sub)
-            if sub.size == 0:
-                continue
-            moved = self.memory.move(sub, Tier.FAST, src=src)
-            outcome.merge(self._account(moved, promoted=True, src=src, dst=top))
-        return outcome
-
-    # -- fused window apply ------------------------------------------------------
+    # -- window apply ------------------------------------------------------------
 
     def apply_window(self, decision) -> MigrationOutcome:
-        """Apply one window's :class:`~repro.sim.policy_api.Decision`, fused.
+        """Apply one window's :class:`~repro.sim.policy_api.Decision`.
 
         Three phases, each under its own profiler span: ``migrate_plan``
         resolves reclaim + demotions + promotions (and any cascades)
         into a :class:`MovePlan` against a placement overlay without
         touching live state; ``migrate_move`` commits the plan with one
         fused scatter; ``migrate_account`` charges costs and counters
-        hop by hop in plan order.  Bit-identical to
-        :meth:`apply_window_legacy` (the per-hop reference): the plan
-        phase replays its exact control flow and clipping arithmetic,
-        and the account phase runs the same float accumulations in the
-        same hop order.
+        hop by hop in plan order.  The result is bit-identical to
+        applying the same hops one ``TieredMemory.move`` at a time.
         """
         with self._profile("migrate_plan"):
             plan = self.plan_window(decision)
@@ -356,29 +243,6 @@ class MigrationEngine:
             out.merge(self._account_node(child, plan))
         return out
 
-    def apply_window_legacy(self, decision) -> MigrationOutcome:
-        """Per-hop reference implementation of :meth:`apply_window`.
-
-        Applies the decision through the mutate-as-you-go ``demote_lru``
-        / ``demote`` / ``promote`` path (one ``memory.move`` per hop).
-        Kept importable as the exactness oracle for the fused path's
-        property tests, like ``split_groups_legacy`` in the stall model.
-        """
-        total = MigrationOutcome()
-        if decision.demote_lru > 0:
-            total.merge(
-                self.demote_lru(
-                    decision.demote_lru,
-                    protect=decision.promote,
-                    victim_mode=decision.demote_victim_mode,
-                )
-            )
-        if decision.demote.size:
-            total.merge(self.demote(decision.demote))
-        if decision.promote.size:
-            total.merge(self.promote(decision.promote, make_room=False))
-        return total
-
     def plan_window(self, decision) -> MovePlan:
         """Resolve a decision into ordered pre-clipped hops (no mutation).
 
@@ -386,7 +250,7 @@ class MigrationEngine:
         the first order batch (always the LRU reclaim, which is what
         consults activity state) sees exactly the live state, and every
         later batch sees the placement its predecessors will have
-        produced -- the same intermediate states the per-hop path
+        produced -- the same intermediate states a hop-at-a-time apply
         marches through.
         """
         plan = MovePlan()
@@ -413,14 +277,21 @@ class MigrationEngine:
         protect: np.ndarray,
         victim_mode: str,
     ) -> None:
+        """Plan the demotion of up to ``count`` reclaim victims from tier 0.
+
+        ``victim_mode`` selects the reclaim walker (see
+        :class:`repro.sim.policy_api.Decision`): ``"cold"`` only touches
+        genuinely inactive pages, ``"lru_tail"`` takes the coldest pages
+        unconditionally, and ``"fifo"`` walks arrival order -- evicting
+        hot pages and causing refault ping-pong, as simple watermark
+        reclaim does.
+        """
         if victim_mode not in ("cold", "lru_tail", "fifo"):
             raise ValueError(f"unknown victim mode {victim_mode!r}")
-        if count <= 0:
-            return
         max_activity = None
         if victim_mode == "cold":
             # Reclaim is planned first, against a pristine overlay, so
-            # the live mean is exactly the mean the per-hop path uses.
+            # the live mean is the mean of the placement being planned.
             max_activity = (
                 self.config.cold_activity_fraction * self.memory.mean_activity(Tier.FAST)
             )

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mem.page import ObjectRegion, Tier
+from repro.hw.access import AccessGroup
+from repro.mem.page import UNALLOCATED, ObjectRegion, Tier
 from repro.mem.tiered import TieredMemory
 from repro.sim.config import MachineConfig
 from repro.workloads.base import Workload, region_group
@@ -97,3 +98,19 @@ def assert_placement_consistent(memory: TieredMemory) -> None:
     assert memory.used[Tier.SLOW] == slow
     assert fast <= memory.capacity[Tier.FAST]
     assert slow <= memory.capacity[Tier.SLOW]
+
+
+def split_on_tiers(model, placed):
+    """``model.split_groups`` over ``(tier, AccessGroup)`` pairs.
+
+    Each group's pages are placed on its tier (pages no group names stay
+    unallocated), so the returned :class:`~repro.hw.stall.ShareBatch`
+    holds one row per pair, in order.  Groups sharing a page must share
+    its tier.
+    """
+    footprint = max((int(g.pages.max()) + 1 for _, g in placed if g.pages.size), default=0)
+    placement = np.full(footprint, UNALLOCATED, dtype=np.int8)
+    for tier, group in placed:
+        assert np.isin(placement[group.pages], (UNALLOCATED, int(tier))).all()
+        placement[group.pages] = int(tier)
+    return model.split_groups([g for _, g in placed], placement)

@@ -7,18 +7,23 @@ from repro.baselines import make_policy
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.core.pact import PactPolicy
 from repro.hw.chmu import ChmuSampler
-from repro.hw.stall import GroupTierShare, StallModel
+from repro.hw.access import AccessGroup
+from repro.hw.stall import StallModel
 from repro.mem.page import Tier
 from repro.sim.config import MachineConfig
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.workloads import make_workload
+from conftest import split_on_tiers
+
+
+def solve_one(tier, pages, counts):
+    model = StallModel(DRAM_SPEC, CXL_SPEC)
+    batch = split_on_tiers(model, [(tier, AccessGroup(pages=pages, counts=counts, mlp=4.0))])
+    return model.solve(batch, 1e6).shares
 
 
 def solved_shares(tier=Tier.SLOW, misses=8_000):
-    pages = np.arange(16)
-    counts = np.full(16, misses // 16, dtype=np.int64)
-    share = GroupTierShare(0, tier, pages, counts, mlp=4.0)
-    return StallModel(DRAM_SPEC, CXL_SPEC).solve([share], 1e6).shares
+    return solve_one(tier, np.arange(16), np.full(16, misses // 16, dtype=np.int64))
 
 
 class TestChmuSampler:
@@ -45,9 +50,7 @@ class TestChmuSampler:
         chmu = ChmuSampler(footprint_pages=64, hotlist_size=4)
         pages = np.arange(16)
         counts = np.arange(1, 17, dtype=np.int64) * 100
-        share = GroupTierShare(0, Tier.SLOW, pages, counts, mlp=4.0)
-        shares = StallModel(DRAM_SPEC, CXL_SPEC).solve([share], 1e6).shares
-        batch = chmu.sample(shares)
+        batch = chmu.sample(solve_one(Tier.SLOW, pages, counts))
         assert batch.pages.size == 4
         # The hotlist keeps the hottest pages.
         assert set(batch.pages) == {12, 13, 14, 15}

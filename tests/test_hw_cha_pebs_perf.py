@@ -7,19 +7,19 @@ from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.hw.cha import ChaTorCounters, littles_law_mlp
 from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.perf import PerfCounters
-from repro.hw.stall import GroupTierShare, StallModel
+from repro.hw.access import AccessGroup
+from repro.hw.stall import StallModel
 from repro.mem.page import Tier
+from conftest import split_on_tiers
+from reference.stall_oracle import shares_of
 
 
 def solved_shares(mlp=4.0, misses=40_000, tier=Tier.SLOW, load_fraction=1.0):
     pages = np.arange(64)
     counts = np.full(64, misses // 64, dtype=np.int64)
-    share = GroupTierShare(
-        group_index=0, tier=tier, pages=pages, counts=counts, mlp=mlp,
-        load_fraction=load_fraction,
-    )
+    group = AccessGroup(pages=pages, counts=counts, mlp=mlp, load_fraction=load_fraction)
     model = StallModel(DRAM_SPEC, CXL_SPEC)
-    return model.solve([share], compute_cycles=1e6).shares
+    return model.solve(split_on_tiers(model, [(tier, group)]), compute_cycles=1e6).shares
 
 
 class TestTorCounters:
@@ -115,7 +115,7 @@ class TestPebs:
         batch = sampler.sample(shares)
         assert batch.latencies is not None
         # Exposed latency = effective latency / MLP = unit stall cost.
-        assert batch.latencies[0] == pytest.approx(shares[0].unit_stall_cycles, rel=1e-6)
+        assert batch.latencies[0] == pytest.approx(shares.unit_stall_cycles[0], rel=1e-6)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
@@ -124,10 +124,14 @@ class TestPebs:
     def test_merges_duplicate_pages_across_groups(self):
         model = StallModel(DRAM_SPEC, CXL_SPEC)
         pages = np.arange(8)
-        shares = [
-            GroupTierShare(0, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 2.0),
-            GroupTierShare(1, Tier.SLOW, pages, np.full(8, 5000, dtype=np.int64), 8.0),
-        ]
+        counts = np.full(8, 5000, dtype=np.int64)
+        shares = split_on_tiers(
+            model,
+            [
+                (Tier.SLOW, AccessGroup(pages=pages, counts=counts, mlp=2.0)),
+                (Tier.SLOW, AccessGroup(pages=pages, counts=counts, mlp=8.0)),
+            ],
+        )
         solved = model.solve(shares, 1e6).shares
         batch = PebsSampler(rate=10, rng=np.random.default_rng(0)).sample(solved)
         assert np.unique(batch.pages).size == batch.pages.size
@@ -220,30 +224,36 @@ class TestPebsVectorisedEquivalence:
     """
 
     def _random_shares(self, rng, n_shares, footprint=4096):
-        shares = []
-        for i in range(n_shares):
+        """A split batch of ``n_shares`` single-tier groups with random
+        unit costs.  Slow-tier groups overlap each other's pages; fast
+        pages sit above the slow range so placements never conflict."""
+        placed = []
+        units = []
+        for _ in range(n_shares):
             size = int(rng.integers(1, 200))
-            pages = rng.choice(footprint, size=size, replace=False)
+            pages = np.sort(rng.choice(footprint, size=size, replace=False))
             counts = rng.integers(0, 2000, size=size)
-            shares.append(
-                GroupTierShare(
-                    group_index=i,
-                    tier=Tier.SLOW if rng.random() < 0.7 else Tier.FAST,
-                    pages=np.sort(pages),
-                    counts=counts,
-                    mlp=4.0,
-                    load_fraction=float(rng.uniform(0.1, 1.0)),
-                    unit_stall_cycles=float(rng.uniform(50.0, 400.0)),
-                )
+            tier = Tier.SLOW if rng.random() < 0.7 else Tier.FAST
+            if tier == Tier.FAST:
+                pages = pages + footprint
+            group = AccessGroup(
+                pages=pages,
+                counts=counts,
+                mlp=4.0,
+                load_fraction=float(rng.uniform(0.1, 1.0)),
             )
-        return shares
+            placed.append((tier, group))
+            units.append(float(rng.uniform(50.0, 400.0)))
+        batch = split_on_tiers(StallModel(DRAM_SPEC, CXL_SPEC), placed)
+        batch.unit_stall_cycles[:] = units
+        return batch
 
     @pytest.mark.parametrize("report_latency", [False, True])
     @pytest.mark.parametrize("loads_only", [False, True])
     def test_distribution_identical_to_loop(self, report_latency, loads_only):
         meta_rng = np.random.default_rng(99)
         for trial in range(20):
-            shares = self._random_shares(meta_rng, n_shares=int(meta_rng.integers(0, 6)))
+            batch = self._random_shares(meta_rng, n_shares=int(meta_rng.integers(0, 6)))
             tiers = (Tier.SLOW,) if trial % 2 == 0 else (Tier.SLOW, Tier.FAST)
             sampler = PebsSampler(
                 rate=7,
@@ -251,10 +261,10 @@ class TestPebsVectorisedEquivalence:
                 loads_only=loads_only,
                 report_latency=report_latency,
             )
-            got = sampler.sample(shares, tiers=tiers)
+            got = sampler.sample(batch, tiers=tiers)
             oracle_rng = np.random.default_rng(trial)
             want = _legacy_pebs_sample(
-                oracle_rng, shares, tiers, rate=7,
+                oracle_rng, shares_of(batch), tiers, rate=7,
                 cycles_per_record=sampler.cycles_per_record,
                 loads_only=loads_only, report_latency=report_latency,
             )
@@ -271,10 +281,9 @@ class TestPebsVectorisedEquivalence:
             assert sampler._rng.integers(0, 1 << 62) == oracle_rng.integers(0, 1 << 62)
 
     def test_all_zero_counts_yield_empty_batch(self):
-        share = GroupTierShare(
-            group_index=0, tier=Tier.SLOW, pages=np.arange(10),
-            counts=np.zeros(10, dtype=np.int64), mlp=1.0,
-        )
-        batch = PebsSampler(rate=4, rng=np.random.default_rng(0)).sample([share])
+        group = AccessGroup(pages=np.arange(10), counts=np.zeros(10, dtype=np.int64), mlp=1.0)
+        shares = split_on_tiers(StallModel(DRAM_SPEC, CXL_SPEC), [(Tier.SLOW, group)])
+        assert shares.n == 1
+        batch = PebsSampler(rate=4, rng=np.random.default_rng(0)).sample(shares)
         assert batch.pages.size == 0
         assert batch.overhead_cycles == 0.0

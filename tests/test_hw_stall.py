@@ -5,8 +5,9 @@ import pytest
 
 from repro.common.units import CXL_SPEC, DRAM_SPEC, NUMA_SPEC
 from repro.hw.access import AccessGroup
-from repro.hw.stall import GroupTierShare, StallModel
+from repro.hw.stall import StallModel
 from repro.mem.page import Tier, UNALLOCATED
+from conftest import split_on_tiers
 
 
 def make_model():
@@ -18,7 +19,11 @@ def one_share(misses=10_000, mlp=4.0, tier=Tier.SLOW, pages=None):
     if pages is None:
         pages = np.arange(n)
     counts = np.full(pages.size, misses // pages.size, dtype=np.int64)
-    return GroupTierShare(group_index=0, tier=tier, pages=pages, counts=counts, mlp=mlp)
+    return tier, AccessGroup(pages=pages, counts=counts, mlp=mlp)
+
+
+def solve(model, shares, compute_cycles, **kwargs):
+    return model.solve(split_on_tiers(model, shares), compute_cycles, **kwargs)
 
 
 class TestSplitGroups:
@@ -26,19 +31,19 @@ class TestSplitGroups:
         model = make_model()
         placement = np.array([0, 0, 1, 1], dtype=np.int8)
         group = AccessGroup(pages=np.arange(4), counts=np.array([1, 2, 3, 4]), mlp=3.0)
-        shares = model.split_groups([group], placement)
-        assert len(shares) == 2
-        fast = next(s for s in shares if s.tier == Tier.FAST)
-        slow = next(s for s in shares if s.tier == Tier.SLOW)
-        assert fast.misses == 3
-        assert slow.misses == 7
-        assert fast.mlp == 3.0
+        batch = model.split_groups([group], placement)
+        assert batch.n == 2
+        (fast,) = batch.rows_in_tier(Tier.FAST)
+        (slow,) = batch.rows_in_tier(Tier.SLOW)
+        assert batch.misses[fast] == 3
+        assert batch.misses[slow] == 7
+        assert batch.mlp[fast] == 3.0
 
     def test_unallocated_pages_excluded(self):
         model = make_model()
         placement = np.full(4, UNALLOCATED, dtype=np.int8)
         group = AccessGroup(pages=np.arange(4), counts=np.ones(4, dtype=np.int64), mlp=2.0)
-        assert model.split_groups([group], placement) == []
+        assert model.split_groups([group], placement).n == 0
 
     def test_load_fraction_propagates(self):
         model = make_model()
@@ -46,23 +51,23 @@ class TestSplitGroups:
         group = AccessGroup(
             pages=np.arange(2), counts=np.ones(2, dtype=np.int64), mlp=2.0, load_fraction=0.5
         )
-        shares = model.split_groups([group], placement)
-        assert shares[0].load_fraction == 0.5
+        batch = model.split_groups([group], placement)
+        assert batch.load_fraction[0] == 0.5
 
 
 class TestSolve:
     def test_mlp_amortises_stalls(self):
         model = make_model()
-        low = model.solve([one_share(mlp=2.0)], compute_cycles=1e6)
-        high = model.solve([one_share(mlp=16.0)], compute_cycles=1e6)
+        low = solve(model, [one_share(mlp=2.0)], compute_cycles=1e6)
+        high = solve(model, [one_share(mlp=16.0)], compute_cycles=1e6)
         # 8x MLP -> ~8x fewer stall cycles (same traffic, light load).
         ratio = low.total_stall_cycles / high.total_stall_cycles
         assert ratio == pytest.approx(8.0, rel=0.1)
 
     def test_slow_tier_stalls_exceed_fast(self):
         model = make_model()
-        slow = model.solve([one_share(tier=Tier.SLOW)], compute_cycles=1e6)
-        fast = model.solve([one_share(tier=Tier.FAST)], compute_cycles=1e6)
+        slow = solve(model, [one_share(tier=Tier.SLOW)], compute_cycles=1e6)
+        fast = solve(model, [one_share(tier=Tier.FAST)], compute_cycles=1e6)
         assert (
             slow.total_stall_cycles / fast.total_stall_cycles
             == pytest.approx(CXL_SPEC.latency_ns / DRAM_SPEC.latency_ns, rel=0.15)
@@ -70,15 +75,16 @@ class TestSolve:
 
     def test_duration_is_compute_plus_stalls_plus_extra(self):
         model = make_model()
-        out = model.solve([one_share()], compute_cycles=5e5, extra_cycles=1e5)
+        out = solve(model, [one_share()], compute_cycles=5e5, extra_cycles=1e5)
         assert out.duration_cycles == pytest.approx(
             5e5 + 1e5 + out.total_stall_cycles, rel=0.05
         )
 
     def test_bandwidth_contention_inflates_latency(self):
         model = make_model()
-        quiet = model.solve([one_share()], compute_cycles=2e6)
-        noisy = model.solve(
+        quiet = solve(model, [one_share()], compute_cycles=2e6)
+        noisy = solve(
+            model,
             [one_share()],
             compute_cycles=2e6,
             extra_bytes={Tier.SLOW: 5e7},  # hammer the slow link
@@ -90,30 +96,28 @@ class TestSolve:
 
     def test_utilisation_capped(self):
         model = make_model()
-        out = model.solve(
-            [one_share()], compute_cycles=1e5, extra_bytes={Tier.FAST: 1e12}
-        )
+        out = solve(model, [one_share()], compute_cycles=1e5, extra_bytes={Tier.FAST: 1e12})
         assert out.tier_loads[Tier.FAST].utilisation <= 0.96
 
     def test_empty_window(self):
         model = make_model()
-        out = model.solve([], compute_cycles=1000.0)
+        out = solve(model, [], compute_cycles=1000.0)
         assert out.total_stall_cycles == 0.0
         assert out.duration_cycles >= 1000.0
 
     def test_per_page_ground_truth_sums_to_share_stalls(self):
         model = make_model()
         share = one_share(misses=8000, mlp=4.0)
-        out = model.solve([share], compute_cycles=1e6)
-        solved = out.shares[0]
-        assert solved.per_page_stalls().sum() == pytest.approx(
-            solved.stall_cycles(), rel=1e-9
-        )
+        out = solve(model, [share], compute_cycles=1e6)
+        solved = out.shares
+        unit = solved.unit_stall_cycles[0]
+        per_page_stalls = solved.counts_of(0).astype(float) * unit
+        assert per_page_stalls.sum() == pytest.approx(solved.misses[0] * unit, rel=1e-9)
 
     def test_numa_latency_between_dram_and_cxl(self):
-        dram = StallModel(DRAM_SPEC, DRAM_SPEC).solve([one_share()], 1e6)
-        numa = StallModel(DRAM_SPEC, NUMA_SPEC).solve([one_share()], 1e6)
-        cxl = StallModel(DRAM_SPEC, CXL_SPEC).solve([one_share()], 1e6)
+        dram = solve(StallModel(DRAM_SPEC, DRAM_SPEC), [one_share()], 1e6)
+        numa = solve(StallModel(DRAM_SPEC, NUMA_SPEC), [one_share()], 1e6)
+        cxl = solve(StallModel(DRAM_SPEC, CXL_SPEC), [one_share()], 1e6)
         assert (
             dram.total_stall_cycles < numa.total_stall_cycles < cxl.total_stall_cycles
         )
@@ -121,7 +125,7 @@ class TestSolve:
     def test_harmonic_tier_mlp(self):
         model = make_model()
         shares = [one_share(misses=10_000, mlp=2.0), one_share(misses=10_000, mlp=8.0)]
-        out = model.solve(shares, compute_cycles=1e6)
+        out = solve(model, shares, compute_cycles=1e6)
         # Miss-weighted harmonic mean of 2 and 8 with equal misses: 3.2.
         assert out.tier_loads[Tier.SLOW].mlp == pytest.approx(3.2, rel=1e-6)
 

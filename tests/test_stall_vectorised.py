@@ -1,12 +1,12 @@
-"""Property tests for the columnar stall pipeline (ISSUE 4).
+"""Property tests for the columnar stall pipeline.
 
-Three solver properties the vectorisation must preserve:
+Three solver properties the columnar pipeline must preserve:
 
-* **bit-identity**: the :class:`~repro.hw.stall.ShareBatch` path and the
-  legacy object-per-share path (``split_groups_legacy`` + the ordered
-  accumulation loop) produce *exactly* equal floats on randomized
-  windows -- same shares, same unit costs, same tier loads, same
-  duration;
+* **bit-identity**: :meth:`StallModel.split_groups` + :meth:`StallModel.solve`
+  and the object-per-share oracle (``split_groups_legacy`` + the ordered
+  accumulation loop in ``tests/reference/stall_oracle.py``) produce
+  *exactly* equal floats on randomized windows -- same shares, same
+  unit costs, same tier loads, same duration;
 * **monotonicity**: injected link traffic (``extra_bytes``) can only
   lengthen the window -- duration is monotone non-decreasing;
 * **convergence health**: after ``_FIXED_POINT_ITERATIONS`` damped
@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 from repro.baselines import make_policy
 from repro.common.units import CXL_SPEC, DRAM_SPEC
 from repro.hw.access import AccessGroup
-from repro.hw.stall import ShareBatch, StallModel, split_groups_legacy
+from repro.hw.stall import ShareBatch, StallModel
 from repro.mem.page import Tier
 from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import ALL_WORKLOADS, make_workload
+from reference.stall_oracle import solve_shares, split_groups_legacy
 
 
 def make_model():
@@ -71,7 +72,7 @@ class TestBatchMatchesLegacy:
         batch = model.split_groups(groups, placement)
         legacy = split_groups_legacy(groups, placement)
         assert isinstance(batch, ShareBatch)
-        assert len(batch) == len(legacy)
+        assert batch.n == len(legacy)
         for i, share in enumerate(legacy):
             assert int(batch.group_index[i]) == share.group_index
             assert batch.tiers[i] == share.tier
@@ -99,8 +100,8 @@ class TestBatchMatchesLegacy:
         vec_units = [float(u) for u in batch.unit_stall_cycles]
 
         legacy_shares = split_groups_legacy(groups, placement)
-        ref = model.solve(
-            legacy_shares, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles
+        ref = solve_shares(
+            model, legacy_shares, compute, extra_bytes=extra_bytes, extra_cycles=extra_cycles
         )
 
         # Exact float equality everywhere -- this is the bit-identity
@@ -121,7 +122,7 @@ class TestBatchMatchesLegacy:
         model = make_model()
         batch = model.split_groups([], np.empty(0, dtype=np.int8))
         vec = model.solve(batch, 1e6)
-        ref = model.solve([], 1e6)
+        ref = solve_shares(model, [], 1e6)
         assert vec.duration_cycles == ref.duration_cycles
         for tier in (Tier.FAST, Tier.SLOW):
             assert vec.tier_loads[tier].mlp == ref.tier_loads[tier].mlp == 1.0

@@ -1,14 +1,17 @@
-"""Property tests for the vectorised policy window loop (ISSUE 10).
+"""Property tests for the vectorised policy window loop.
 
-Every optimisation in this PR is gated on exactness, and each gets an
-explicit oracle here:
+Every fast path of the window loop is gated on exactness, and each gets
+an explicit oracle here:
 
 * the fused plan/apply migration path (:meth:`MigrationEngine.apply_window`)
-  against the per-hop reference (:meth:`apply_window_legacy`) over
-  randomised placements, multi-tier cascades, direct demotion, THP
-  expansion, and admission-hook trimming;
-* the scalar small-batch stall solves against the vectorised paths they
-  shortcut (bit-identity, not closeness);
+  against the hop-at-a-time reference (``apply_window_legacy`` in
+  ``tests/reference/migration_oracle.py``) over randomised placements,
+  multi-tier cascades, direct demotion, THP expansion, and
+  admission-hook trimming;
+* the stall fixed point's two kernels (Python floats and the flat
+  ``bincount`` pass) against each other and against the object-per-share
+  oracle (``tests/reference/stall_oracle.py``) -- bit-identity, not
+  closeness;
 * the lazily-recomputed per-tier activity sums against a from-scratch
   masked sum after arbitrary touch/move/first-touch interleavings;
 * the tracker's incrementally-merged tracked-page list against a
@@ -19,6 +22,9 @@ explicit oracle here:
   :class:`PebsPosPlan` + :meth:`KeyedPebsSampler.merge_window_pos`)
   against the live per-window computation they replace.
 """
+
+import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -34,9 +40,12 @@ from repro.hw.substream import KeyedPebsSampler, PebsRecordPlan
 from repro.mem.page import Tier
 from repro.mem.tiered import TieredMemory
 from repro.mem.topology import make_topology
+from repro.obs import Observability
 from repro.sim.config import MachineConfig
 from repro.sim.migration import MigrationEngine
 from repro.sim.policy_api import Decision
+from reference.migration_oracle import apply_window_legacy
+from reference.stall_oracle import solve_shares, split_groups_legacy
 
 
 # -- randomised state builders ---------------------------------------------------
@@ -135,7 +144,7 @@ def run_fused_vs_legacy(seed, num_tiers=2, thp=False, demotion="through", admiss
     for trial in range(3):
         decision = random_decision(rng, footprint)
         fused = eng_a.apply_window(decision)
-        legacy = eng_b.apply_window_legacy(decision)
+        legacy = apply_window_legacy(eng_b, decision)
         assert_outcomes_equal(fused, legacy)
         np.testing.assert_array_equal(mem_a.placement, mem_b.placement)
         assert mem_a.used == mem_b.used
@@ -197,11 +206,13 @@ class TestFusedApplyMatchesLegacy:
         memory = make_memory(config, 128, 64)
         randomise_state(memory, np.random.default_rng(1))
         engine = MigrationEngine(memory, config)
-        outcome = engine.demote_lru(0, protect=np.empty(0, dtype=np.int64))
+        before = memory.placement.copy()
+        outcome = engine.apply_window(Decision(demote_lru=-3))
         assert outcome.demoted == 0 and outcome.cost_cycles == 0.0
+        np.testing.assert_array_equal(memory.placement, before)
 
 
-# -- scalar stall solves ---------------------------------------------------------
+# -- stall fixed-point kernels ---------------------------------------------------
 
 
 def random_groups(rng, footprint, n_groups):
@@ -232,6 +243,25 @@ def assert_hw_equal(a, b):
         assert va.mlp == vb.mlp
 
 
+@contextlib.contextmanager
+def solve_kernel(flat):
+    """Force the stall fixed point onto one kernel via its row cutoff."""
+    saved = stall_mod._FLAT_SOLVE_ROWS
+    stall_mod._FLAT_SOLVE_ROWS = -1 if flat else sys.maxsize
+    try:
+        yield
+    finally:
+        stall_mod._FLAT_SOLVE_ROWS = saved
+
+
+def assert_hw_matches_oracle(hw, batch, model, groups, placement, compute, extra, extra_cycles):
+    """Compare one solved window with the object-per-share oracle."""
+    shares = split_groups_legacy(groups, placement)
+    ref = solve_shares(model, shares, compute, extra_bytes=extra, extra_cycles=extra_cycles)
+    assert_hw_equal(hw, ref)
+    assert batch.unit_stall_cycles.tolist() == [s.unit_stall_cycles for s in shares]
+
+
 class TestScalarSolveMatchesVectorised:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -245,19 +275,18 @@ class TestScalarSolveMatchesVectorised:
 
         model = StallModel(DRAM_SPEC, CXL_SPEC)
         batch = model.split_groups(groups, placement)
-        assert batch.n <= stall_mod._SCALAR_SOLVE_ROWS
-        scalar = model.solve(batch, compute, extra_bytes=extra)
+        # A one-run window this narrow takes the Python-float kernel.
+        assert batch.n <= stall_mod._FLAT_SOLVE_ROWS
+        with solve_kernel(flat=False):
+            scalar = model.solve(batch, compute, extra_bytes=extra)
         scalar_units = batch.unit_stall_cycles.copy()
 
-        saved = stall_mod._SCALAR_SOLVE_ROWS
-        try:
-            stall_mod._SCALAR_SOLVE_ROWS = -1
+        with solve_kernel(flat=True):
             batch2 = model.split_groups(groups, placement)
             vector = model.solve(batch2, compute, extra_bytes=extra)
-        finally:
-            stall_mod._SCALAR_SOLVE_ROWS = saved
         assert_hw_equal(scalar, vector)
         np.testing.assert_array_equal(scalar_units, batch2.unit_stall_cycles)
+        assert_hw_matches_oracle(vector, batch2, model, groups, placement, compute, extra, 0.0)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -277,20 +306,48 @@ class TestScalarSolveMatchesVectorised:
         # One splitting model per run, as the multi-run driver holds:
         # split_groups hands out views of per-model scratch columns.
         models = [StallModel(DRAM_SPEC, CXL_SPEC) for _ in range(R)]
-        batches = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
-        scalar = model.solve_many(batches, computes, extras, extra_cycles)
+        with solve_kernel(flat=False):
+            batches = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
+            scalar = model.solve_many(batches, computes, extras, extra_cycles)
         scalar_units = [b.unit_stall_cycles.copy() for b in batches]
 
-        saved = stall_mod._SCALAR_SOLVE_ROWS
-        try:
-            stall_mod._SCALAR_SOLVE_ROWS = -1
+        with solve_kernel(flat=True):
             batches2 = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
             vector = model.solve_many(batches2, computes, extras, extra_cycles)
-        finally:
-            stall_mod._SCALAR_SOLVE_ROWS = saved
         for r in range(R):
             assert_hw_equal(scalar[r], vector[r])
             np.testing.assert_array_equal(scalar_units[r], batches2[r].unit_stall_cycles)
+            groups, placement = windows[r]
+            assert_hw_matches_oracle(
+                vector[r], batches2[r], model, groups, placement,
+                computes[r], extras[r], extra_cycles[r],
+            )
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_solve_many_publishes_residual(self, flat):
+        """The multi-run gauge is the largest of the runs' own residuals."""
+        rng = np.random.default_rng(5)
+        placement = rng.choice(np.array([0, 1], dtype=np.int8), size=128)
+        splitters = [StallModel(DRAM_SPEC, CXL_SPEC) for _ in range(3)]
+        batches = [m.split_groups(random_groups(rng, 128, 3), placement) for m in splitters]
+        computes = [1e5, 1e6, 1e7]
+        gauge = "stall/fixed_point_residual"
+        with solve_kernel(flat=flat):
+            serial = []
+            for batch, compute in zip(batches, computes):
+                obs = Observability(trace=False)
+                StallModel(DRAM_SPEC, CXL_SPEC, obs=obs).solve(batch, compute)
+                serial.append(obs.window_metrics()[gauge])
+            obs = Observability(trace=False)
+            model = StallModel(DRAM_SPEC, CXL_SPEC, obs=obs)
+            model.solve_many(batches, computes, [None] * 3, [0.0] * 3)
+        assert obs.window_metrics()[gauge] == max(serial)
+
+    def test_no_runs(self):
+        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        for flat in (False, True):
+            with solve_kernel(flat=flat):
+                assert model.solve_many([], [], [], []) == []
 
 
 # -- lazy activity sums / incremental caches -------------------------------------
