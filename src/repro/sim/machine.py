@@ -43,6 +43,17 @@ from repro.workloads.mlc import MlcContender
 _INITIAL_WINDOW_CYCLES = 44_000_000.0
 
 
+def _generated(workload: Workload) -> bool:
+    """Whether ``workload`` emits through the base ``next_window``.
+
+    Only such windows can be generated ahead: the hand-off of the
+    in-flight window lives in :meth:`Workload.next_window`.  Replayers
+    override it, and a replayed window is a slice of a column already
+    in memory, so they are served inline.
+    """
+    return type(workload).next_window is Workload.next_window
+
+
 class Machine:
     """One simulated run of ``workload`` under ``policy``."""
 
@@ -209,14 +220,48 @@ class Machine:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, max_windows: int = 200_000) -> RunResult:
-        """Simulate until the workload finishes (or ``max_windows``)."""
-        while not self.workload.done and self._window < max_windows:
-            self.step()
+        """Simulate until the workload finishes (or ``max_windows``).
+
+        Generated traffic is pipelined: while window k is simulated, a
+        producer thread generates window k+1 from the workload's own
+        RNG, which no simulation state feeds.  The loop stops on each
+        window's ``done`` stamp and starts the next window only when
+        the serial loop would have asked for it, so the run, and the
+        workload's state afterwards, are those of stepping serially.
+        """
+        workload = self.workload
+        if workload.done or self._window >= max_windows:
+            return self.result()
+        producer = None
+        if _generated(workload):
+            from concurrent.futures import ThreadPoolExecutor
+
+            producer = ThreadPoolExecutor(max_workers=1)
+        try:
+            while True:
+                # Waits inside next_window when the window is in flight.
+                traffic = workload.next_window()
+                more = not traffic.done and self._window + 1 < max_windows
+                if more and producer is not None:
+                    workload._inflight = producer.submit(workload._generate_window)
+                self._step(traffic)
+                if not more:
+                    break
+        finally:
+            if producer is not None:
+                # Joins the thread.  A window still in flight (the step
+                # raised) is waited for and dropped, so the step's
+                # exception is the one that propagates.
+                producer.shutdown()
+                workload._inflight = None
         return self.result()
 
     def step(self) -> None:
         """Advance the simulation by one sampling window."""
-        traffic = self.workload.next_window()
+        self._step(self.workload.next_window())
+
+    def _step(self, traffic) -> None:
+        """Simulate one window of ``traffic``."""
         if not traffic.groups:
             self._step_empty_window()
             return
@@ -352,7 +397,8 @@ class Machine:
                 counts=all_counts if wm is None else wm,
             )
 
-        obs = self._observe(pebs_batch, touched, outcome.duration_cycles)
+        progress = min(traffic.extra["consumed_after"] / self.workload.total_misses, 1.0)
+        obs = self._observe(pebs_batch, touched, outcome.duration_cycles, progress)
         with self.obs.profile("policy_observe"):
             decision = self.policy.observe(obs)
         with self.obs.profile("migration_apply"):
@@ -512,7 +558,11 @@ class Machine:
         return self.pebs.sample(shares, tiers=self._pebs_tiers())
 
     def _observe(
-        self, pebs_batch: PebsBatch, touched: Optional[np.ndarray], duration: float
+        self,
+        pebs_batch: PebsBatch,
+        touched: Optional[np.ndarray],
+        duration: float,
+        progress: float,
     ) -> Observation:
         perf_now = self.perf.read()
         tor_now = self.cha.read()
@@ -537,7 +587,7 @@ class Machine:
             memory=self.memory,
             tor_occupancy_delta=tor_occ,
             tor_busy_delta=tor_busy,
-            progress=self.workload.progress,
+            progress=progress,
             num_tiers=self.num_tiers,
         )
         if touched is not None:

@@ -17,6 +17,7 @@ length) is preserved.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -63,6 +64,10 @@ class Workload(abc.ABC):
         self._rng = np.random.default_rng(seed)
         self._consumed = 0
         self._window = 0
+        #: Future of the next window while a pipelined
+        #: :meth:`repro.sim.machine.Machine.run` generates it ahead on
+        #: its producer thread; ``None`` otherwise.
+        self._inflight = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -100,20 +105,43 @@ class Workload(abc.ABC):
     # -- traffic generation ----------------------------------------------------
 
     def next_window(self) -> WindowTraffic:
-        """Emit one window of traffic and consume the matching work."""
+        """Emit one window of traffic and consume the matching work.
+
+        Every window carries ``extra["consumed_after"]``: the work
+        counter as of that window, from which the machine reads the
+        window's progress.  Inside a pipelined
+        :meth:`repro.sim.machine.Machine.run` the window is already in
+        flight on the run's producer thread, and this call waits for it
+        instead of generating.
+        """
+        inflight = self._inflight
+        if inflight is not None:
+            self._inflight = None
+            return inflight.result()
+        return self._generate_window()
+
+    def _generate_window(self) -> WindowTraffic:
+        """The generation body behind :meth:`next_window`.
+
+        A pipelined run calls this directly on its producer thread, so
+        it must not go through ``next_window`` (or anything else the
+        benchmark's tracer wraps).
+        """
         budget = min(self.misses_per_window, self.total_misses - self._consumed)
         if budget <= 0:
-            return WindowTraffic(groups=[], compute_cycles=0.0, done=True)
-        groups = self._emit(budget, self._rng)
-        emitted = sum(g.total_misses for g in groups)
-        self._consumed += emitted if emitted > 0 else budget
-        self._window += 1
-        traffic = WindowTraffic(
-            groups=groups,
-            compute_cycles=self._compute_cycles(emitted),
-            done=self.done,
-            phase=self.phase_name(),
-        )
+            traffic = WindowTraffic(groups=[], compute_cycles=0.0, done=True)
+        else:
+            groups = self._emit(budget, self._rng)
+            emitted = sum(g.total_misses for g in groups)
+            self._consumed += emitted if emitted > 0 else budget
+            self._window += 1
+            traffic = WindowTraffic(
+                groups=groups,
+                compute_cycles=self._compute_cycles(emitted),
+                done=self.done,
+                phase=self.phase_name(),
+            )
+        traffic.extra["consumed_after"] = self._consumed
         return traffic
 
     def next_windows(self, k: int) -> List[WindowTraffic]:
@@ -125,20 +153,14 @@ class Workload(abc.ABC):
         construction.  Subclasses with vectorisable generators override
         this to amortise RNG draws across the batch; overrides must emit
         the exact window sequence the serial path would (the trace
-        round-trip tests pin this property).
-
-        Each returned window carries ``extra["consumed_after"]``: the
-        work counter as of that window.  Recording needs the per-window
-        value, which is unrecoverable after the fact when emission rules
-        differ by subclass; overrides must stamp it too.
+        round-trip tests pin this property), each window stamped with
+        ``extra["consumed_after"]`` as :meth:`next_window` stamps it.
         """
         windows: List[WindowTraffic] = []
         for _ in range(k):
             if self.done:
                 break
-            traffic = self.next_window()
-            traffic.extra["consumed_after"] = self._consumed
-            windows.append(traffic)
+            windows.append(self.next_window())
         return windows
 
     def _compute_cycles(self, emitted_misses: int) -> float:
@@ -202,14 +224,26 @@ def spread_counts(
     if misses <= 0:
         return np.zeros(num_pages, dtype=np.int64)
     if weights is None:
-        p = np.full(num_pages, 1.0 / num_pages)
+        p = uniform_probabilities(num_pages)
     else:
         weights = np.asarray(weights, dtype=float)
         total = weights.sum()
         if total <= 0:
             raise ValueError("weights must have positive mass")
         p = weights / total
-    return rng.multinomial(misses, p).astype(np.int64)
+    return rng.multinomial(misses, p).astype(np.int64, copy=False)
+
+
+@functools.lru_cache(maxsize=8)
+def uniform_probabilities(num_pages: int) -> np.ndarray:
+    """The read-only uniform distribution over ``num_pages`` pages.
+
+    Cached because a uniform region draws from the same vector every
+    window (8 MB at 2^20 pages).
+    """
+    p = np.full(num_pages, 1.0 / num_pages)
+    p.setflags(write=False)
+    return p
 
 
 def zipf_weights(num_pages: int, alpha: float, shuffle_rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -238,9 +272,9 @@ def region_group(
 ) -> AccessGroup:
     """An access group spreading ``misses`` over one object region."""
     counts = spread_counts(rng, region.num_pages, misses, weights)
-    hit = counts > 0
+    hit = np.flatnonzero(counts)
     return AccessGroup(
-        pages=region.pages()[hit],
+        pages=hit + region.start_page,
         counts=counts[hit],
         mlp=mlp,
         load_fraction=load_fraction,
@@ -259,7 +293,7 @@ def subset_group(
     """An access group spreading ``misses`` uniformly over explicit pages."""
     pages = np.asarray(pages, dtype=np.int64)
     counts = spread_counts(rng, pages.size, misses)
-    hit = counts > 0
+    hit = np.flatnonzero(counts)
     return AccessGroup(
         pages=pages[hit],
         counts=counts[hit],

@@ -60,14 +60,23 @@ class ColocatedWorkload(Workload):
     def final_metrics(self) -> dict:
         return {"member_finish_window": list(self.member_finish_window)}
 
-    def next_window(self) -> WindowTraffic:
+    @property
+    def done(self) -> bool:
+        # Done once every member is: the rule of each window's ``done``
+        # stamp, so a loop may stop on either.
+        return all(m.done for m in self.members)
+
+    def _generate_window(self) -> WindowTraffic:
+        # Members are composed through their generation bodies: this
+        # runs on a pipelined run's producer thread, where no traced
+        # ``next_window`` may be entered.
         groups: List[AccessGroup] = []
         compute = 0.0
         emitted = 0
         for i, member in enumerate(self.members):
             if member.done:
                 continue
-            traffic = member.next_window()
+            traffic = member._generate_window()
             for group in traffic.groups:
                 groups.append(
                     AccessGroup(
@@ -86,12 +95,14 @@ class ColocatedWorkload(Workload):
                 self.member_finish_window[i] = self._window
         self._consumed += emitted
         self._window += 1
-        return WindowTraffic(
+        traffic = WindowTraffic(
             groups=groups,
             compute_cycles=compute,
-            done=all(m.done for m in self.members),
+            done=self.done,
             phase=self.phase_name(),
         )
+        traffic.extra["consumed_after"] = self._consumed
+        return traffic
 
     def member_pages(self, index: int) -> np.ndarray:
         """All page ids belonging to member ``index``."""
@@ -100,7 +111,7 @@ class ColocatedWorkload(Workload):
         return np.arange(start, start + member.footprint_pages, dtype=np.int64)
 
     def _emit(self, budget: int, rng: np.random.Generator) -> List[AccessGroup]:
-        raise NotImplementedError("ColocatedWorkload overrides next_window directly")
+        raise NotImplementedError("ColocatedWorkload overrides _generate_window directly")
 
     def phase_name(self) -> str:
         running = sum(1 for m in self.members if not m.done)

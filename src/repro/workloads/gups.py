@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.hw.access import AccessGroup, WindowTraffic
 from repro.mem.page import ObjectRegion
-from repro.workloads.base import Workload, region_group
+from repro.workloads.base import Workload, region_group, uniform_probabilities
 
 SEQUENTIAL_MLP = 16.0
 RANDOM_MLP = 3.0
@@ -75,8 +75,7 @@ class Gups(Workload):
         the trace round-trip tests compare both paths directly.
         """
         table = self.objects[0]
-        table_pages = table.pages()
-        p = np.full(table.num_pages, 1.0 / table.num_pages)
+        p = uniform_probabilities(table.num_pages)
         windows: List[WindowTraffic] = []
         while len(windows) < k and not self.done:
             remaining = self.total_misses - self._consumed
@@ -87,15 +86,17 @@ class Gups(Workload):
                 batch = min(k - len(windows), max(remaining // budget, 1))
             else:
                 batch = 1
-            counts = self._rng.multinomial(budget, p, size=batch).astype(np.int64)
+            counts = self._rng.multinomial(budget, p, size=batch).astype(
+                np.int64, copy=False
+            )
             for row in counts:
                 if self._phase_is_sequential():
                     mlp, label = SEQUENTIAL_MLP, "seq-phase"
                 else:
                     mlp, label = RANDOM_MLP, "rand-phase"
-                hit = row > 0
+                hit = np.flatnonzero(row)
                 group = AccessGroup(
-                    pages=table_pages[hit],
+                    pages=hit + table.start_page,
                     counts=row[hit],
                     mlp=mlp,
                     load_fraction=0.5,

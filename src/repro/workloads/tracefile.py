@@ -107,7 +107,12 @@ class TraceWorkload(Workload):
         if self._cursor >= len(self._trace_windows):
             if not self.loop:
                 self._consumed = self.total_misses
-                return WindowTraffic(groups=[], compute_cycles=0.0, done=True)
+                return WindowTraffic(
+                    groups=[],
+                    compute_cycles=0.0,
+                    done=True,
+                    extra={"consumed_after": self._consumed},
+                )
             self._cursor = 0
         entry = self._trace_windows[self._cursor]
         self._cursor += 1
@@ -129,6 +134,7 @@ class TraceWorkload(Workload):
             compute_cycles=emitted * self.compute_cycles_per_miss,
             done=self.done,
             phase=entry.get("phase", f"trace-{self._cursor - 1}"),
+            extra={"consumed_after": self._consumed},
         )
 
     def _emit(self, budget, rng):  # pragma: no cover - next_window overridden

@@ -656,6 +656,7 @@ class ReplayWorkload(Workload):
             phase=data.phases[int(c["window_phase"][i])],
             flat_pages=pages[p0:p1],
             flat_counts=counts[p0:p1],
+            extra={"consumed_after": self._consumed},
         )
 
     def _emit(self, budget, rng):  # pragma: no cover - next_window overridden

@@ -254,6 +254,28 @@ class TestColocation:
             colo.next_window()
         assert colo.member_finish_window[0] < colo.member_finish_window[1]
 
+    def test_done_once_every_member_is(self):
+        # A member window with no traffic consumes its budget but adds
+        # no misses to the colocation's counter; the colocation must
+        # still finish when its last member does.
+        class IdleOnce(Masim):
+            def _emit(self, budget, rng):
+                return [] if self.window_index == 1 else super()._emit(budget, rng)
+
+        a = IdleOnce(pattern="sequential", footprint_pages=500, total_misses=600_000,
+                     misses_per_window=200_000)
+        b = Masim(pattern="random", footprint_pages=500, total_misses=400_000,
+                  misses_per_window=200_000)
+        colo = ColocatedWorkload([a, b])
+        colo.reset()
+        windows = 0
+        while not colo.done and windows < 100:
+            traffic = colo.next_window()
+            windows += 1
+        assert traffic.done
+        assert windows == max(colo.member_finish_window) + 1 == 3
+        assert colo.progress < 1.0
+
     def test_requires_members(self):
         with pytest.raises(ValueError):
             ColocatedWorkload([])
