@@ -448,9 +448,10 @@ def cmd_bench(args, out) -> int:
 def cmd_campaign(args, out) -> int:
     """Stream a (workload x policy x ratio x seed) grid through the
     persistent worker-pool service with live progress and a failure
-    ledger.  Unlike ``bench`` the pool is spawned once and fed over a
-    work queue, results land in the campaign store (SQLite by default),
-    and a crashed/hung worker costs one request, not the campaign.
+    ledger.  ``bench`` runs through the same driver, but fails on the
+    first lost request; here a failed request is retried (``--retries``),
+    may get a deadline (``--timeout``), and costs one ledger entry, not
+    the campaign.
     """
     config = _config(args)
     spec = ExperimentSpec(

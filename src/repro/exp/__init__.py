@@ -1,4 +1,4 @@
-"""Unified experiment orchestration: specs, caching, parallel sweeps.
+"""Unified experiment orchestration: specs, caching, one request pipeline.
 
 The layer every consumer of the simulator goes through:
 
@@ -6,12 +6,13 @@ The layer every consumer of the simulator goes through:
   single runs (``RunRequest``) with content fingerprints,
 * :mod:`repro.exp.cache` -- on-disk content-addressed result store,
   shared with the engine's ideal/slow-only baseline helpers,
-* :mod:`repro.exp.parallel` -- process-pool fan-out for cache misses,
-* :mod:`repro.exp.runner` -- dedup + cache + execute + indexed results,
+* :mod:`repro.exp.runner` -- request execution, lockstep grouping and
+  indexed results; ``run_requests``/``run_experiment`` entry points,
 * :mod:`repro.exp.store` -- SQLite result-store backend for
   campaign-scale sweeps (batched commits, WAL, JSON-cache compatible),
-* :mod:`repro.exp.service` -- persistent worker pool + streaming
-  campaign driver with per-request failure isolation,
+* :mod:`repro.exp.service` -- the one request pipeline: campaign
+  driver (dedup, cache, replay warm-up, grouping, execution, storage)
+  over a persistent worker pool, with per-request failure isolation,
 * :mod:`repro.exp.report` -- the paper's recurring table shapes.
 """
 
@@ -24,7 +25,6 @@ from repro.exp.cache import (
     set_default_store,
     workload_fingerprint,
 )
-from repro.exp.parallel import RequestExecutionError, resolve_jobs
 from repro.exp.runner import (
     ExperimentResult,
     execute_request,
@@ -35,7 +35,9 @@ from repro.exp.service import (
     CampaignDriver,
     CampaignResult,
     FailureRecord,
+    RequestExecutionError,
     WorkerPool,
+    resolve_jobs,
     run_campaign,
 )
 from repro.exp.spec import (

@@ -1,11 +1,14 @@
-"""Experiment runner: dedup, cache lookup, fan-out, result indexing.
+"""Request execution and result indexing: what the request pipeline runs.
 
-``run_experiment``/``run_requests`` are the single entry point every
-bench, the CLI, and ``analysis.sweep`` drive: expand a spec, drop
-duplicate requests (shared baselines collapse here), serve what the
-content-addressed store already has, execute the misses -- serially or
-across worker processes -- and hand back an :class:`ExperimentResult`
-that knows how to look runs up by (workload, policy, ratio, seed).
+:func:`execute_request` runs one request from scratch and
+:func:`execute_request_group` runs a lockstep group;
+:func:`group_requests` and :func:`_prepare_replay` shape a miss list
+into those units.  The pipeline itself -- dedup, cache lookup,
+replay preparation, grouping, execution and storage -- is
+:class:`~repro.exp.service.CampaignDriver`.  :func:`run_requests` and
+:func:`run_experiment` are that driver with no retries and no deadline;
+they hand back an :class:`ExperimentResult` that looks runs up by
+(workload, policy, ratio, seed).
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.exp import parallel
-from repro.exp.cache import ResultStore, get_default_store
+from repro.exp.cache import ResultStore
 from repro.exp.spec import (
     KIND_IDEAL,
     KIND_POLICY,
@@ -355,40 +357,25 @@ def run_requests(
     store: Optional[ResultStore] = None,
     use_cache: bool = True,
 ) -> ExperimentResult:
-    """Execute a request list through the cache + process pool."""
-    requests = list(requests)
-    store = store if store is not None else get_default_store()
+    """Execute a request list through the campaign driver.
 
-    unique: List[RunRequest] = []
-    seen: Dict[str, RunRequest] = {}
-    for req in requests:
-        if req.key not in seen:
-            seen[req.key] = req
-            unique.append(req)
+    No request is retried and none has a deadline.  Every healthy
+    result is stored; afterwards, if any request failed, raise
+    :class:`~repro.exp.service.RequestExecutionError` naming it.
+    """
+    from repro.exp.service import CampaignDriver, RequestExecutionError
 
-    results: Dict[str, RunResult] = {}
-    misses: List[RunRequest] = []
-    for req in unique:
-        cached = store.get(req.key) if use_cache else None
-        if cached is not None:
-            results[req.key] = cached
-        else:
-            misses.append(req)
-
-    _prepare_replay(misses)
-    # Multi-run fast path: seed/ratio siblings of one (workload, policy)
-    # collapse into lockstep groups; each member still fans back out as
-    # its own result and cache entry.
-    units = group_requests(misses)
-    for unit, result in zip(units, parallel.execute_units(units, jobs=jobs)):
-        members = unit if isinstance(unit, list) else [unit]
-        run_results = result if isinstance(unit, list) else [result]
-        for req, run in zip(members, run_results):
-            results[req.key] = run
-            if use_cache:
-                store.put(req.key, run, fingerprint=req.fingerprint())
-
-    return ExperimentResult(requests, results)
+    with CampaignDriver(jobs=jobs, store=store, use_cache=use_cache, retries=0) as driver:
+        result = driver.run(requests)
+    failed = result.failed
+    if failed:
+        first = failed[0]
+        more = f" (and {len(failed) - 1} more)" if len(failed) > 1 else ""
+        detail = f"\n\n{first.detail}" if first.detail else ""
+        raise RequestExecutionError(
+            f"request {first.display} failed: {first.error}{more}{detail}"
+        )
+    return result
 
 
 def run_experiment(

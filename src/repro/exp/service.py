@@ -1,55 +1,64 @@
-"""Fleet-scale campaign service: persistent workers, streaming driver.
+"""The one request pipeline: campaign driver and persistent worker pool.
 
-``run_requests`` fans each sweep out over a fresh ``ProcessPoolExecutor``
--- fine for one figure, wasteful for a campaign of many specs (pool
-spin-up per sweep, chunked ``pool.map`` with all-or-nothing error
-semantics, one JSON file per result).  This module is the campaign-scale
-path the ROADMAP's "simulator as a backend" story runs on:
+Every sweep runs through :class:`CampaignDriver` -- ``repro run``,
+``sweep``, ``compare``, ``bench`` and ``campaign``, the ``analysis``
+helpers and the figure benches.  ``run_requests``/``run_experiment``
+are the driver with no retries and no deadline.  One :meth:`run`:
 
-* :class:`WorkerPool` spawns workers **once per campaign** and feeds
-  them one request at a time over per-worker pipes.  Workers replay
-  ``.npt`` traces memory-mapped from the shared trace store, so a
-  thousand runs over one workload touch one page-cache-warm copy.
-* :class:`CampaignDriver` streams any number of request lists (or
-  whole :class:`ExperimentSpec` grids) through one pool.  Every request
-  carries per-request failure isolation: a worker exception, crash, or
-  hang loses *that request* -- recorded in a failure ledger with the
-  request's display identity -- never the campaign.  Failed requests
-  are retried (fresh worker, same request) up to ``retries`` times.
-* Results stream into any :class:`~repro.exp.cache.ResultStore`;
-  campaigns default to the SQLite backend
-  (:class:`~repro.exp.store.SqliteResultStore`) whose batched commits
-  absorb 100k-run write rates.
-* Progress is published into a :class:`~repro.obs.MetricsRegistry`
-  (queue depth, in-flight count, per-worker utilisation, cache hit
-  rate, trace re-record count) that front ends poll for live display.
+1. drops duplicate requests (shared baselines collapse here),
+2. serves what the result store already has,
+3. records each distinct traffic stream once (``_prepare_replay``),
+4. collapses seed/ratio siblings into lockstep units (``group_requests``),
+5. executes the units and stores each result as it arrives.
 
-Results are bit-identical to serial ``run_requests`` on the same
-request list: workers run the exact ``execute_request`` path, and the
-driver performs the same dedup + cache + replay-preparation steps.
+Units run in-process when ``jobs <= 1``, or when there is one unit and
+no timeout.  Otherwise they run on a :class:`WorkerPool`: long-lived
+processes (fork-preferred, so factory-form workload specs defined in
+bench modules resolve in workers) fed one unit at a time over
+per-worker pipes.  The pool spawns on first use and lives until
+:meth:`CampaignDriver.close`.  A unit that cannot be pickled (a
+lambda-factory workload) runs in-process with a one-time
+:class:`RuntimeWarning` per offending factory.
+
+Failure isolation is per request: an exception, a worker crash or a
+timeout records a :class:`FailureRecord` and -- while attempts remain --
+requeues the request.  A failed lockstep group requeues its members as
+independent singles.  Nothing one request does can lose another
+request's result, and every healthy result is stored.
+
+Results are bit-identical in-process and pooled: each request carries
+its own seed and full configuration, and workers run the same
+``execute_request`` path.  Progress (queue depth, in-flight count,
+per-worker utilisation, cache hit rate, trace re-records) is published
+into a :class:`~repro.obs.MetricsRegistry` for front ends to poll.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+import traceback
+import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.exp import parallel
+from repro.exp import runner
 from repro.exp.cache import ResultStore, get_default_store
 from repro.exp.runner import (
     ExperimentResult,
     RequestUnit,
     _prepare_replay,
-    execute_request,
-    execute_request_group,
     group_requests,
 )
 from repro.exp.spec import ExperimentSpec, RunRequest
 from repro.obs import MetricsRegistry
 from repro.sim.metrics import RunResult
+
+#: Environment variable supplying the default worker count.
+JOBS_ENV = "REPRO_JOBS"
 
 #: Default per-request retry budget (a retry runs on a fresh worker).
 DEFAULT_RETRIES = 1
@@ -61,9 +70,38 @@ DEFAULT_PROGRESS_INTERVAL = 2.0
 _TICK = 0.1
 
 #: Failure kinds recorded in the ledger.
-FAILURE_EXCEPTION = "exception"  # the request raised inside a worker
+FAILURE_EXCEPTION = "exception"  # the request raised
 FAILURE_CRASH = "crash"          # the worker process died mid-request
 FAILURE_TIMEOUT = "timeout"      # the request exceeded the deadline
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Effective worker count: explicit arg, else ``REPRO_JOBS``, else 1.
+
+    ``0`` (or less) means one worker per core, as in ``make -j``.  A
+    ``REPRO_JOBS`` that is not an integer is rejected, not ignored.
+    """
+    if jobs is None:
+        raw = os.environ.get(JOBS_ENV) or "1"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{JOBS_ENV}={raw!r} is not an integer worker count"
+            ) from None
+    if jobs <= 0:
+        jobs = os.cpu_count() or 1
+    return jobs
+
+
+class RequestExecutionError(RuntimeError):
+    """A request failed for good; the message names which one.
+
+    ``run_requests`` raises it after every other request has run and
+    been stored, so a failure inside a many-thousand-run sweep names its
+    request (and the original exception type) instead of surfacing as a
+    bare error from an anonymous worker.
+    """
 
 
 def _unit_key(unit: RequestUnit) -> str:
@@ -79,6 +117,65 @@ def _unit_display(unit: RequestUnit) -> str:
     return unit.display
 
 
+def _run_unit(unit: RequestUnit):
+    """Execute one unit: a request, or a lockstep group (a list).
+
+    A group's result is its members' results in member order.  The
+    executors resolve through the runner module at call time.
+    """
+    if isinstance(unit, list):
+        return runner.execute_request_group(unit)
+    return runner.execute_request(unit)
+
+
+def _failure(exc: BaseException) -> tuple:
+    """A failure payload: ``(error, detail)``, the one-line error and its traceback."""
+    detail = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    return f"{type(exc).__name__}: {exc}", detail
+
+
+def _mp_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+#: Offender identities already warned about in this process; repeated
+#: sweeps over the same lambda-factory workload warn once, not once per
+#: unit or per sweep.
+_WARNED_UNPICKLABLE: set = set()
+
+
+def _offender_key(unit: RequestUnit) -> str:
+    """Identity of an un-picklable unit's *type* of offence.
+
+    The culprit is almost always the workload factory (a lambda or
+    closure), so key on its qualified name: a sweep expanding one
+    factory into hundreds of requests is one offence, not hundreds.
+    """
+    request = unit[0] if isinstance(unit, list) else unit
+    factory = getattr(getattr(request, "workload", None), "factory", None)
+    if factory is not None:
+        return f"factory:{getattr(factory, '__qualname__', repr(factory))}"
+    return f"type:{type(request).__qualname__}"
+
+
+def reset_unpicklable_warnings() -> None:
+    """Forget which offenders were warned about (test isolation)."""
+    _WARNED_UNPICKLABLE.clear()
+
+
+def _warn_unpicklable(unit: RequestUnit) -> None:
+    key = _offender_key(unit)
+    if key not in _WARNED_UNPICKLABLE:
+        _WARNED_UNPICKLABLE.add(key)
+        warnings.warn(
+            f"request {_unit_display(unit)} is not picklable "
+            f"(lambda/closure workload factory?); running it in-process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+
 @dataclass
 class FailureRecord:
     """One failure event: which request, which way, which attempt."""
@@ -89,6 +186,8 @@ class FailureRecord:
     error: str
     attempt: int
     final: bool = False
+    #: The traceback, when the failure was an exception.
+    detail: str = field(default="", repr=False)
 
     def describe(self) -> str:
         state = "gave up" if self.final else "will retry"
@@ -106,7 +205,7 @@ class CampaignStats:
     failures: int = 0          # failure events (incl. retried ones)
     failed_requests: int = 0   # requests that exhausted their retries
     retries: int = 0
-    respawns: int = 0
+    respawns: int = 0          # workers replaced during this run
     warmup_records: int = 0    # traces recorded while preparing replay
     re_records: int = 0        # traces re-recorded during execution
     keyed_draws: int = 0       # keyed PEBS record plans drawn (not reused)
@@ -154,7 +253,7 @@ def _store_counts() -> tuple:
 
 
 def _worker_main(conn, worker_index: int) -> None:
-    """Long-lived worker loop: recv request, execute, send result.
+    """Long-lived worker loop: recv unit, execute, send result.
 
     The per-result payload carries the worker-local trace-store record
     and keyed-draw counters so the driver can prove the zero-re-record
@@ -177,27 +276,20 @@ def _worker_main(conn, worker_index: int) -> None:
             break
         if item is None:
             break
-        task_key, request = item
+        task_key, unit = item
         try:
-            # A list is a multi-run unit: one lockstep simulation whose
-            # payload is the members' results in member order.
-            if isinstance(request, list):
-                result = execute_request_group(request)
-            else:
-                result = execute_request(request)
-            payload = (task_key, True, result, deltas())
+            payload = (task_key, True, _run_unit(unit), deltas())
         except BaseException as exc:  # noqa: BLE001 - isolate *any* failure
-            payload = (task_key, False, f"{type(exc).__name__}: {exc}", deltas())
+            payload = (task_key, False, _failure(exc), deltas())
         try:
             conn.send(payload)
         except (BrokenPipeError, OSError):
             break
         except Exception as exc:  # unpicklable result: report, keep serving
             try:
+                error, detail = _failure(exc)
                 conn.send(
-                    (task_key, False,
-                     f"result not sendable: {type(exc).__name__}: {exc}",
-                     deltas())
+                    (task_key, False, (f"result not sendable: {error}", detail), deltas())
                 )
             except Exception:
                 break
@@ -219,7 +311,7 @@ class _Worker:
         self.index = index
         self.process = process
         self.conn = conn
-        self.task: Optional[RunRequest] = None
+        self.task: Optional[RequestUnit] = None
         self.busy_since = 0.0
         self.completed = 0
         self.busy_seconds = 0.0
@@ -237,22 +329,27 @@ class _Worker:
 
 
 class WorkerPool:
-    """A fixed-size pool of persistent request-executing processes.
+    """A pool of persistent unit-executing processes.
 
-    Workers are spawned once (fork-preferred, exactly as
-    :mod:`repro.exp.parallel`) and survive across requests and across
-    driver runs; a crashed or killed worker is respawned transparently.
+    Workers survive across units and across driver runs; a crashed,
+    hung or unreachable worker is respawned in place.
     """
 
     def __init__(self, jobs: Optional[int] = None, context=None):
-        self.jobs = max(1, parallel.resolve_jobs(jobs))
-        self._ctx = context if context is not None else parallel._mp_context()
+        self._ctx = context if context is not None else _mp_context()
         self.respawns = 0
         self.worker_re_records = 0
         self.worker_plan_draws = 0
         self._next_index = 0
-        self.workers: List[_Worker] = [self._spawn() for _ in range(self.jobs)]
         self._closed = False
+        self.workers: List[_Worker] = []
+        self.grow(max(1, resolve_jobs(jobs)))
+
+    def grow(self, jobs: int) -> None:
+        """Spawn workers until the pool has at least ``jobs`` of them."""
+        while len(self.workers) < jobs:
+            self.workers.append(self._spawn())
+        self.jobs = len(self.workers)
 
     def _spawn(self) -> _Worker:
         index = self._next_index
@@ -286,7 +383,72 @@ class WorkerPool:
             worker.process.kill()
             worker.process.join(timeout=5.0)
 
-    def note_counts(self, worker: _Worker, reported: tuple) -> None:
+    @property
+    def in_flight(self) -> int:
+        return sum(1 for worker in self.workers if worker.busy)
+
+    def submit(self, worker: _Worker, unit: RequestUnit) -> Optional[bool]:
+        """Hand ``unit`` to an idle worker.
+
+        Returns True once sent; None when the worker was found dead (it
+        is respawned and the unit was not started); False when the unit
+        cannot be pickled and so must run in-process.
+        """
+        try:
+            worker.conn.send((_unit_key(unit), unit))
+        except (BrokenPipeError, OSError):
+            self.respawn(worker)
+            return None
+        except Exception:
+            return False
+        worker.task = unit
+        worker.busy_since = time.monotonic()
+        return True
+
+    def collect(self, timeout: Optional[float]) -> List[tuple]:
+        """Wait up to one tick; return ``(unit, ok, payload, kind)`` outcomes.
+
+        A worker that died, or has held its unit longer than
+        ``timeout`` seconds, is respawned and its unit reported failed.
+        """
+        busy = [worker for worker in self.workers if worker.busy]
+        if not busy:
+            return []
+        ready = _conn_wait([worker.conn for worker in busy], timeout=_TICK)
+        now = time.monotonic()
+        outcomes = []
+        for worker in busy:
+            unit = worker.task
+            if worker.conn in ready:
+                try:
+                    _key, ok, payload, counts = worker.conn.recv()
+                except (EOFError, OSError):
+                    kind, error = FAILURE_CRASH, None
+                else:
+                    self._note_counts(worker, counts)
+                    self._release(worker, now)
+                    outcomes.append((unit, ok, payload, FAILURE_EXCEPTION))
+                    continue
+            elif not worker.process.is_alive():
+                kind, error = FAILURE_CRASH, None
+            elif timeout is not None and now - worker.busy_since > timeout:
+                kind = FAILURE_TIMEOUT
+                error = f"no result within {timeout:.1f}s; worker killed"
+            else:
+                continue
+            self._release(worker, now)
+            self.respawn(worker)
+            if error is None:  # the exit code is known once the process is reaped
+                error = f"worker died mid-request (exit code {worker.process.exitcode})"
+            outcomes.append((unit, False, (error, ""), kind))
+        return outcomes
+
+    def _release(self, worker: _Worker, now: float) -> None:
+        worker.busy_seconds += now - worker.busy_since
+        worker.completed += 1
+        worker.task = None
+
+    def _note_counts(self, worker: _Worker, reported: tuple) -> None:
         """Fold a worker's (records, plan_draws) counters into the pool totals."""
         records, draws = reported
         seen_records, seen_draws = worker.counts_seen
@@ -326,20 +488,19 @@ class WorkerPool:
 
 
 class CampaignDriver:
-    """Streams request lists through one persistent worker pool.
+    """Streams request lists through the one request pipeline.
 
     One driver serves a whole campaign: call :meth:`run` (or
     :meth:`run_specs`) as many times as the campaign has phases; the
-    pool spins up on first use and is reused until :meth:`close`.
+    pool spins up on first pooled run and is reused until :meth:`close`.
 
-    Failure semantics, per request: an exception inside the worker, a
-    worker crash, or a timeout records a :class:`FailureRecord` and --
-    while attempts remain -- requeues the request (crashes and timeouts
-    get a fresh worker; the dead one is respawned).  A request that
-    exhausts ``retries`` is a *final* failure: it is absent from the
-    result mapping (lookups raise ``KeyError``) and listed in
-    ``CampaignResult.failed``.  Nothing a single request does can lose
-    any other request's result.
+    Failure semantics, per request: an exception, a worker crash, or a
+    timeout records a :class:`FailureRecord` and -- while attempts
+    remain -- requeues the request (crashes and timeouts get a fresh
+    worker; the dead one is respawned).  A request that exhausts
+    ``retries`` is a *final* failure: it is absent from the result
+    mapping (lookups raise ``KeyError``) and listed in
+    ``CampaignResult.failed``.
     """
 
     def __init__(
@@ -354,7 +515,7 @@ class CampaignDriver:
         progress_interval: float = DEFAULT_PROGRESS_INTERVAL,
         pool: Optional[WorkerPool] = None,
     ):
-        self.jobs = max(1, parallel.resolve_jobs(jobs))
+        self.jobs = max(1, resolve_jobs(jobs))
         self.store = store
         self.use_cache = use_cache
         self.retries = max(0, int(retries))
@@ -371,9 +532,13 @@ class CampaignDriver:
     def pool(self) -> Optional[WorkerPool]:
         return self._pool
 
-    def _ensure_pool(self) -> WorkerPool:
+    def _ensure_pool(self, units: int) -> WorkerPool:
+        """The pool, with as many workers as ``units`` can use (up to jobs)."""
+        want = min(self.jobs, units)
         if self._pool is None:
-            self._pool = WorkerPool(jobs=self.jobs)
+            self._pool = WorkerPool(jobs=want)
+        else:
+            self._pool.grow(want)
         return self._pool
 
     def close(self) -> None:
@@ -403,21 +568,19 @@ class CampaignDriver:
         requests = list(requests)
         store = self.store if self.store is not None else get_default_store()
         stats = CampaignStats(total_requests=len(requests))
+        respawns_before = self._pool.respawns if self._pool is not None else 0
 
-        unique: List[RunRequest] = []
-        seen: Dict[str, RunRequest] = {}
+        unique: Dict[str, RunRequest] = {}
         for req in requests:
-            if req.key not in seen:
-                seen[req.key] = req
-                unique.append(req)
+            unique.setdefault(req.key, req)
         stats.unique_requests = len(unique)
 
         results: Dict[str, RunResult] = {}
         misses: List[RunRequest] = []
-        for req in unique:
-            cached = store.get(req.key) if self.use_cache else None
+        for key, req in unique.items():
+            cached = store.get(key) if self.use_cache else None
             if cached is not None:
-                results[req.key] = cached
+                results[key] = cached
             else:
                 misses.append(req)
         stats.cache_hits = len(unique) - len(misses)
@@ -431,15 +594,7 @@ class CampaignDriver:
 
         ledger: List[FailureRecord] = []
         if misses:
-            # Multi-run fast path: seed/ratio siblings collapse into
-            # lockstep groups (one simulation each); a failed group is
-            # retried as independent single requests, so grouping never
-            # costs failure isolation.
-            units = group_requests(misses)
-            if self.jobs <= 1:
-                self._run_serial(units, results, store, ledger, stats)
-            else:
-                self._run_pooled(units, results, store, ledger, stats)
+            self._execute(group_requests(misses), results, store, ledger, stats)
 
         flush = getattr(store, "flush", None)
         if callable(flush):
@@ -452,170 +607,84 @@ class CampaignDriver:
             stats.keyed_draws += self._pool.worker_plan_draws
             self._pool.worker_re_records = 0
             self._pool.worker_plan_draws = 0
-            stats.respawns = self._pool.respawns
+            stats.respawns = self._pool.respawns - respawns_before
         stats.failures = len(ledger)
         stats.failed_requests = sum(1 for rec in ledger if rec.final)
         stats.elapsed_seconds = time.monotonic() - t0
         self._publish(0, 0, results, stats, force=True)
         return CampaignResult(requests, results, ledger, stats)
 
-    # -- serial path (jobs=1): same semantics, no processes ------------------
+    def _execute(self, units, results, store, ledger, stats) -> None:
+        """Run ``units`` to completion: the one attempt/requeue loop.
 
-    def _run_serial(self, units, results, store, ledger, stats) -> None:
+        Units run in-process when ``jobs <= 1`` or when a lone unit has
+        no deadline (only a worker can enforce one); otherwise each idle
+        worker takes the next unit.  A unit that cannot be pickled runs
+        in-process too.  In-process and pooled outcomes settle the same
+        way.
+        """
+        inline = self.jobs <= 1 or (len(units) == 1 and self.timeout is None)
+        pool = None if inline else self._ensure_pool(len(units))
         pending = deque(units)
         attempts: Dict[str, int] = {}
-        while pending:
-            unit = pending.popleft()
-            ukey = _unit_key(unit)
-            attempt = attempts.get(ukey, 0) + 1
-            attempts[ukey] = attempt
-            try:
-                result = parallel._run_unit(unit)
-            except Exception as exc:
-                if isinstance(unit, list):
-                    # A group failure is never final: its members requeue
-                    # as independent singles with their own attempts.
-                    ledger.append(
-                        FailureRecord(
-                            key=ukey, display=_unit_display(unit),
-                            kind=FAILURE_EXCEPTION, error=str(exc),
-                            attempt=attempt, final=False,
-                        )
-                    )
-                    stats.retries += 1
-                    pending.extend(unit)
-                    continue
-                final = attempt > self.retries
-                ledger.append(
-                    FailureRecord(
-                        key=ukey, display=unit.display, kind=FAILURE_EXCEPTION,
-                        error=str(exc), attempt=attempt, final=final,
-                    )
-                )
-                if not final:
-                    stats.retries += 1
-                    pending.append(unit)
-                continue
-            self._complete_unit(unit, result, results, store, stats)
-            self._publish(len(pending), 0, results, stats)
 
-    # -- pooled path ---------------------------------------------------------
-
-    def _run_pooled(self, units, results, store, ledger, stats) -> None:
-        pool = self._ensure_pool()
-        pending = deque(units)
-        attempts: Dict[str, int] = {}
-        in_flight: Dict[int, RequestUnit] = {}  # worker index -> unit
-
-        def fail(worker, unit, kind, error, requeue_ok=True):
-            ukey = _unit_key(unit)
-            attempt = attempts[ukey]
-            if isinstance(unit, list):
-                # A group failure is never final: its members requeue as
-                # independent singles with their own attempt budgets.
-                ledger.append(
-                    FailureRecord(
-                        key=ukey, display=_unit_display(unit), kind=kind,
-                        error=error, attempt=attempt, final=False,
-                    )
-                )
-                stats.retries += 1
-                pending.extend(unit)
+        def settle(unit, ok, payload, kind=FAILURE_EXCEPTION):
+            if ok:
+                self._complete_unit(unit, payload, results, store, stats)
                 return
-            final = attempt > self.retries or not requeue_ok
+            ukey = _unit_key(unit)
+            error, detail = payload
+            # A group failure is never final: its members requeue as
+            # independent singles with their own attempt budgets, so
+            # grouping never costs failure isolation.
+            group = isinstance(unit, list)
+            final = not group and attempts[ukey] > self.retries
             ledger.append(
                 FailureRecord(
-                    key=ukey, display=unit.display, kind=kind,
-                    error=error, attempt=attempt, final=final,
+                    key=ukey, display=_unit_display(unit), kind=kind,
+                    error=error, attempt=attempts[ukey], final=final,
+                    detail=detail,
                 )
             )
             if not final:
                 stats.retries += 1
-                pending.append(unit)
+                pending.extend(unit if group else [unit])
 
-        def release(worker, now):
-            worker.busy_seconds += now - worker.busy_since
-            worker.completed += 1
-            in_flight.pop(worker.index, None)
-            worker.task = None
-
-        while pending or in_flight:
-            now = time.monotonic()
-            # 1. Feed every idle worker.
-            for worker in pool.workers:
-                if worker.busy or not pending:
-                    continue
+        while pending or (pool is not None and pool.in_flight):
+            # 1. Start units: one in-process, or one per idle worker.
+            idle = [None] if pool is None else [w for w in pool.workers if not w.busy]
+            for worker in idle:
+                if not pending:
+                    break
                 unit = pending.popleft()
                 ukey = _unit_key(unit)
                 attempts[ukey] = attempts.get(ukey, 0) + 1
+                if worker is not None:
+                    sent = pool.submit(worker, unit)
+                    if sent:
+                        continue
+                    if sent is None:
+                        # Dead worker: it was replaced; retry the unit
+                        # without charging it an attempt.
+                        attempts[ukey] -= 1
+                        pending.appendleft(unit)
+                        continue
+                    _warn_unpicklable(unit)
                 try:
-                    worker.conn.send((ukey, unit))
-                except (BrokenPipeError, OSError):
-                    # Worker died between requests; replace and requeue
-                    # without charging the unit an attempt.
-                    attempts[ukey] -= 1
-                    pending.appendleft(unit)
-                    pool.respawn(worker)
-                    continue
-                except Exception:
-                    # Unpicklable request (lambda factory): run it here,
-                    # in-process, exactly like parallel's serial fallback.
-                    parallel._warn_unpicklable([unit])
-                    try:
-                        result = parallel._run_unit(unit)
-                    except Exception as exc:
-                        fail(worker, unit, FAILURE_EXCEPTION, str(exc))
-                    else:
-                        self._complete_unit(unit, result, results, store, stats)
-                    continue
-                worker.task = unit
-                worker.busy_since = now
-                in_flight[worker.index] = unit
-
-            # 2. Wait for any busy worker to report.
-            conns = [w.conn for w in pool.workers if w.busy]
-            ready = _conn_wait(conns, timeout=_TICK) if conns else []
-            now = time.monotonic()
-            for conn in ready:
-                worker = next(w for w in pool.workers if w.conn is conn)
-                unit = worker.task
-                try:
-                    task_key, ok, payload, counts = conn.recv()
-                except (EOFError, OSError):
-                    release(worker, now)
-                    pool.respawn(worker)
-                    fail(worker, unit, FAILURE_CRASH,
-                         f"worker died mid-request (exit code "
-                         f"{worker.process.exitcode})")
-                    continue
-                pool.note_counts(worker, counts)
-                release(worker, now)
-                if ok:
-                    self._complete_unit(unit, payload, results, store, stats)
+                    result = _run_unit(unit)
+                except Exception as exc:
+                    settle(unit, False, _failure(exc))
                 else:
-                    fail(worker, unit, FAILURE_EXCEPTION, payload)
+                    settle(unit, True, result)
 
-            # 3. Liveness + deadline sweep over the still-busy workers.
-            for worker in list(pool.workers):
-                if not worker.busy:
-                    continue
-                unit = worker.task
-                if not worker.process.is_alive():
-                    release(worker, now)
-                    pool.respawn(worker)
-                    fail(worker, unit, FAILURE_CRASH,
-                         f"worker died mid-request (exit code "
-                         f"{worker.process.exitcode})")
-                elif (
-                    self.timeout is not None
-                    and now - worker.busy_since > self.timeout
-                ):
-                    release(worker, now)
-                    pool.respawn(worker)
-                    fail(worker, unit, FAILURE_TIMEOUT,
-                         f"no result within {self.timeout:.1f}s; worker killed")
-
-            self._publish(len(pending), len(in_flight), results, stats)
+            # 2. Settle whatever the workers finished, crashed or overran.
+            if pool is not None:
+                for outcome in pool.collect(self.timeout):
+                    settle(*outcome)
+            self._publish(
+                len(pending), pool.in_flight if pool is not None else 0,
+                results, stats,
+            )
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -691,6 +760,10 @@ __all__ = [
     "FAILURE_EXCEPTION",
     "FAILURE_TIMEOUT",
     "FailureRecord",
+    "JOBS_ENV",
+    "RequestExecutionError",
     "WorkerPool",
+    "reset_unpicklable_warnings",
+    "resolve_jobs",
     "run_campaign",
 ]

@@ -5,7 +5,7 @@ Covers the contracts the benches and CLI rely on:
 * the same declared grid executed twice performs zero simulations the
   second time, even from a *fresh* store instance reading the same disk
   directory (the cross-process bench scenario);
-* parallel execution is bit-identical to serial execution;
+* pooled execution is bit-identical to in-process execution;
 * any MachineConfig change invalidates cached entries;
 * cache keys cover the window budget and the contender's full parameter
   set (regression: the old engine-local key omitted both);
@@ -255,9 +255,21 @@ class TestFindSemantics:
         assert one.ratio == "1:2"
 
 
-def failing_factory():
-    """Module-level factory (picklable) that always fails to build."""
-    raise ValueError("boom at build")
+#: Builds of ``doomed_factory`` so far (reset by each test using it).
+_DOOMED_BUILDS = {"n": 0}
+
+
+def doomed_factory():
+    """Module-level factory (picklable) that fails every build but the first.
+
+    The first build is the one the parent makes to fingerprint the
+    request; every execution -- in-process, or in a worker forked after
+    fingerprinting -- then fails.
+    """
+    _DOOMED_BUILDS["n"] += 1
+    if _DOOMED_BUILDS["n"] > 1:
+        raise ValueError("boom at build")
+    return TinyWorkload(total_misses=120_000, misses_per_window=30_000, seed=11)
 
 
 def fake_result(**overrides):
@@ -387,34 +399,49 @@ class TestVanishedTraceFallback:
 
 
 class TestWorkerFailureIdentity:
-    """A failing request names itself, serial or parallel."""
+    """A failing request names itself, in-process or pooled."""
 
     def _doomed(self):
+        _DOOMED_BUILDS["n"] = 0
         return RunRequest(
-            workload=WorkloadSpec.from_factory(failing_factory, label="doomed"),
+            workload=WorkloadSpec.from_factory(doomed_factory, label="doomed"),
             policy=PolicySpec("NoTier"),
             replay=False,
         )
 
-    def test_serial_failure_names_request(self):
-        from repro.exp import parallel
-
-        with pytest.raises(parallel.RequestExecutionError, match="doomed/NoTier"):
-            parallel.execute_many([self._doomed()], jobs=1)
-
-    def test_pool_failure_names_request(self):
-        from repro.exp import parallel
-
-        ok = RunRequest(
+    def _ok(self):
+        return RunRequest(
             workload=tiny_spec(), policy=PolicySpec("NoTier"), replay=False
         )
-        with pytest.raises(parallel.RequestExecutionError) as excinfo:
-            parallel.execute_many([ok, self._doomed()], jobs=2)
+
+    def test_serial_failure_names_request(self):
+        from repro.exp import RequestExecutionError
+
+        with pytest.raises(RequestExecutionError, match="doomed/NoTier"):
+            run_requests([self._doomed()], jobs=1, store=ResultStore())
+
+    def test_pool_failure_names_request(self):
+        from repro.exp import RequestExecutionError
+
+        with pytest.raises(RequestExecutionError) as excinfo:
+            run_requests([self._ok(), self._doomed()], jobs=2, store=ResultStore())
         assert "doomed" in str(excinfo.value)
         assert "ValueError" in str(excinfo.value)  # original type rides along
+        assert "Traceback (most recent call last)" in str(excinfo.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_sweep_stores_healthy_results(self, jobs):
+        from repro.exp import RequestExecutionError
+
+        store = ResultStore()
+        ok, doomed = self._ok(), self._doomed()
+        with pytest.raises(RequestExecutionError, match="doomed"):
+            run_requests([ok, doomed], jobs=jobs, store=store)
+        assert store.get(ok.key).runtime_cycles > 0
+        assert store.get(doomed.key) is None
 
     def test_unpicklable_requests_fall_back_serially(self):
-        from repro.exp import parallel
+        from repro.exp.service import reset_unpicklable_warnings
 
         lam = WorkloadSpec.from_factory(
             lambda: TinyWorkload(total_misses=60_000, misses_per_window=30_000),
@@ -426,8 +453,9 @@ class TestWorkerFailureIdentity:
                 workload=lam, policy=PolicySpec("NoTier"), ratio="1:2", replay=False
             ),
         ]
-        parallel.reset_unpicklable_warnings()
+        reset_unpicklable_warnings()
         with pytest.warns(RuntimeWarning, match="lam"):
-            results = parallel.execute_many(reqs, jobs=2)
+            exp = run_requests(reqs, jobs=2, store=ResultStore())
+        results = [exp[req] for req in reqs]
         assert len(results) == 2
         assert all(r.runtime_cycles > 0 for r in results)

@@ -334,6 +334,18 @@ class TestFailureIsolation:
         for req in requests[:-1]:
             assert campaign[req].runtime_cycles > 0
 
+    def test_respawns_count_only_this_run(self, tmp_path, isolated_stores):
+        requests = self._grid(misbehaving_spec("crash", tmp_path / "crashed.flag", "crashy"))
+        with CampaignDriver(jobs=2, retries=1) as driver:
+            first = driver.run(requests)
+            second = driver.run(small_grid().expand())
+            third = driver.run(small_grid().expand())
+        assert first.ok and first.stats.respawns == 1
+        assert second.ok and third.ok
+        assert third.stats.executed == 0  # every request served from cache
+        assert second.stats.respawns == 0
+        assert third.stats.respawns == 0
+
     def test_serial_campaign_honours_retries_and_ledger(self, tmp_path, isolated_stores):
         # jobs=1 runs in-process, so worker-name gating doesn't apply.
         # The parent builds once while fingerprinting (call 1); the first
@@ -356,3 +368,26 @@ class TestFailureIsolation:
         assert len(campaign.ledger) == 1
         assert campaign.ledger[0].kind == FAILURE_EXCEPTION
         assert "flaky" in campaign.ledger[0].display
+
+
+# ---------------------------------------------------------------------------
+# Worker count.
+# ---------------------------------------------------------------------------
+
+
+class TestResolveJobs:
+    def test_env_supplies_default(self, monkeypatch):
+        from repro.exp.service import resolve_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert resolve_jobs() == 3
+        assert resolve_jobs(2) == 2  # an explicit count wins
+        monkeypatch.delenv("REPRO_JOBS")
+        assert resolve_jobs() == 1
+
+    def test_malformed_env_rejected(self, monkeypatch):
+        from repro.exp.service import resolve_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", "four")
+        with pytest.raises(ValueError, match="REPRO_JOBS='four'"):
+            resolve_jobs()
