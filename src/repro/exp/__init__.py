@@ -6,12 +6,12 @@ The layer every consumer of the simulator goes through:
   single runs (``RunRequest``) with content fingerprints,
 * :mod:`repro.exp.cache` -- on-disk content-addressed result store,
   shared with the engine's ideal/slow-only baseline helpers,
-* :mod:`repro.exp.runner` -- request execution, lockstep grouping and
-  indexed results; ``run_requests``/``run_experiment`` entry points,
+* :mod:`repro.exp.runner` -- request execution and indexed results;
+  ``run_requests``/``run_experiment`` entry points,
 * :mod:`repro.exp.store` -- SQLite result-store backend for
   campaign-scale sweeps (batched commits, WAL, JSON-cache compatible),
 * :mod:`repro.exp.service` -- the one request pipeline: campaign
-  driver (dedup, cache, replay warm-up, grouping, execution, storage)
+  driver (dedup, cache, replay warm-up, execution, storage)
   over a persistent worker pool, with per-request failure isolation,
 * :mod:`repro.exp.report` -- the paper's recurring table shapes.
 """

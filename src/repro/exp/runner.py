@@ -1,20 +1,19 @@
 """Request execution and result indexing: what the request pipeline runs.
 
-:func:`execute_request` runs one request from scratch and
-:func:`execute_request_group` runs a lockstep group;
-:func:`group_requests` and :func:`_prepare_replay` shape a miss list
-into those units.  The pipeline itself -- dedup, cache lookup,
-replay preparation, grouping, execution and storage -- is
-:class:`~repro.exp.service.CampaignDriver`.  :func:`run_requests` and
-:func:`run_experiment` are that driver with no retries and no deadline;
-they hand back an :class:`ExperimentResult` that looks runs up by
-(workload, policy, ratio, seed).
+:func:`execute_request` runs one request from scratch: one
+:class:`~repro.sim.machine.Machine` over the request's workload (a
+replay of its recorded stream when replay is on).
+:func:`_prepare_replay` records each distinct stream before fan-out.
+The pipeline itself -- dedup, cache lookup, replay preparation,
+execution and storage -- is :class:`~repro.exp.service.CampaignDriver`.
+:func:`run_requests` and :func:`run_experiment` are that driver with
+no retries and no deadline; they hand back an :class:`ExperimentResult`
+that looks runs up by (workload, policy, ratio, seed).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from repro.exp.cache import ResultStore
 from repro.exp.spec import (
@@ -109,110 +108,6 @@ def execute_request(request: RunRequest) -> RunResult:
             obs=obs,
         )
     return machine.run(max_windows=request.max_windows)
-
-
-#: Environment switch: any non-empty value disables multi-run grouping.
-MULTIRUN_ENV = "REPRO_NO_MULTIRUN"
-
-#: One unit of execution: a single request, or a group of requests that
-#: one :class:`~repro.sim.runbatch.MultiMachine` simulates in lockstep.
-RequestUnit = Union[RunRequest, List[RunRequest]]
-
-
-def execute_request_group(requests: Sequence[RunRequest]) -> List[RunResult]:
-    """Run a seed/ratio group of one (workload, policy) in lockstep.
-
-    All requests replay the same recorded trace; one
-    :class:`~repro.sim.runbatch.MultiMachine` steps them together and
-    fuses their stall solves.  Results are bit-identical to running each
-    request through :func:`execute_request`, in request order -- every
-    run still lands in the cache under its own key.  Groups the
-    lockstep executor rejects fall back to serial execution.
-    """
-    from repro.sim.runbatch import MultiMachine
-    from repro.workloads import tracestore
-
-    requests = list(requests)
-    if len(requests) == 1:
-        return [execute_request(requests[0])]
-    first = requests[0]
-    store = tracestore.get_default_trace_store()
-    data = None
-    if first.trace_path:
-        try:
-            data = store.load(first.trace_path)
-        except (tracestore.TraceFormatError, OSError):
-            data = None
-    if data is None:
-        _, data = store.ensure_spec(
-            first.workload.descriptor(), first.workload.build, first.max_windows
-        )
-    try:
-        machines = [
-            Machine(
-                workload=tracestore.ReplayWorkload(data),
-                policy=req.policy.build(),
-                config=req.config if req.config is not None else MachineConfig(),
-                ratio=req.ratio,
-                contender=req.contender,
-                seed=req.seed,
-            )
-            for req in requests
-        ]
-        multi = MultiMachine(machines)
-    except ValueError:
-        return [execute_request(req) for req in requests]
-    return multi.run(max_windows=first.max_windows)
-
-
-def _group_key(request: RunRequest) -> str:
-    """Group identity: the request fingerprint with seed and ratio nulled."""
-    from repro.exp.cache import content_hash
-
-    fp = request.fingerprint()
-    fp["seed"] = None
-    fp["ratio"] = None
-    return content_hash(fp)
-
-
-def group_requests(requests: Sequence[RunRequest]) -> List[RequestUnit]:
-    """Collapse run-axis-compatible requests into lockstep groups.
-
-    Policy-kind replayed requests that differ only in seed and/or
-    capacity ratio share one recorded trace and one machine shape, so
-    they become one multi-run unit.  Trace/telemetry requests and
-    non-replayed runs stay singles.  Unit order follows first
-    appearance, and member order within a group follows request order,
-    so fan-out results map back deterministically.  Set
-    ``REPRO_NO_MULTIRUN=1`` to force one-request units.
-    """
-    requests = list(requests)
-    if os.environ.get(MULTIRUN_ENV, ""):
-        return list(requests)
-    groups: Dict[object, List[RunRequest]] = {}
-    order: List[object] = []
-    for i, req in enumerate(requests):
-        if (
-            req.kind != KIND_POLICY
-            or req.trace
-            or req.obs
-            or not _replay_requested(req)
-        ):
-            key: object = ("single", i)
-        else:
-            key = _group_key(req)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(req)
-    units: List[RequestUnit] = []
-    for key in order:
-        members = groups[key]
-        if len(members) >= 2:
-            units.append(members)
-        else:
-            units.append(members[0])
-    return units
 
 
 class ExperimentResult:

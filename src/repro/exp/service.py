@@ -8,22 +8,21 @@ are the driver with no retries and no deadline.  One :meth:`run`:
 1. drops duplicate requests (shared baselines collapse here),
 2. serves what the result store already has,
 3. records each distinct traffic stream once (``_prepare_replay``),
-4. collapses seed/ratio siblings into lockstep units (``group_requests``),
-5. executes the units and stores each result as it arrives.
+4. executes each remaining request as one run and stores its result as
+   it arrives.
 
-Units run in-process when ``jobs <= 1``, or when there is one unit and
-no timeout.  Otherwise they run on a :class:`WorkerPool`: long-lived
-processes (fork-preferred, so factory-form workload specs defined in
-bench modules resolve in workers) fed one unit at a time over
-per-worker pipes.  The pool spawns on first use and lives until
-:meth:`CampaignDriver.close`.  A unit that cannot be pickled (a
+Requests run in-process when ``jobs <= 1``, or when there is one
+request and no timeout.  Otherwise they run on a :class:`WorkerPool`:
+long-lived processes (fork-preferred, so factory-form workload specs
+defined in bench modules resolve in workers) fed one request at a time
+over per-worker pipes.  The pool spawns on first use and lives until
+:meth:`CampaignDriver.close`.  A request that cannot be pickled (a
 lambda-factory workload) runs in-process with a one-time
 :class:`RuntimeWarning` per offending factory.
 
 Failure isolation is per request: an exception, a worker crash or a
 timeout records a :class:`FailureRecord` and -- while attempts remain --
-requeues the request.  A failed lockstep group requeues its members as
-independent singles.  Nothing one request does can lose another
+requeues the request.  Nothing one request does can lose another
 request's result, and every healthy result is stored.
 
 Results are bit-identical in-process and pooled: each request carries
@@ -47,12 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exp import runner
 from repro.exp.cache import ResultStore, get_default_store
-from repro.exp.runner import (
-    ExperimentResult,
-    RequestUnit,
-    _prepare_replay,
-    group_requests,
-)
+from repro.exp.runner import ExperimentResult, _prepare_replay
 from repro.exp.spec import ExperimentSpec, RunRequest
 from repro.obs import MetricsRegistry
 from repro.sim.metrics import RunResult
@@ -104,30 +98,6 @@ class RequestExecutionError(RuntimeError):
     """
 
 
-def _unit_key(unit: RequestUnit) -> str:
-    """Hashable identity for one execution unit (attempt accounting)."""
-    if isinstance(unit, list):
-        return "group:" + unit[0].key
-    return unit.key
-
-
-def _unit_display(unit: RequestUnit) -> str:
-    if isinstance(unit, list):
-        return f"group[{len(unit)}] {unit[0].display} ..."
-    return unit.display
-
-
-def _run_unit(unit: RequestUnit):
-    """Execute one unit: a request, or a lockstep group (a list).
-
-    A group's result is its members' results in member order.  The
-    executors resolve through the runner module at call time.
-    """
-    if isinstance(unit, list):
-        return runner.execute_request_group(unit)
-    return runner.execute_request(unit)
-
-
 def _failure(exc: BaseException) -> tuple:
     """A failure payload: ``(error, detail)``, the one-line error and its traceback."""
     detail = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
@@ -141,18 +111,17 @@ def _mp_context():
 
 #: Offender identities already warned about in this process; repeated
 #: sweeps over the same lambda-factory workload warn once, not once per
-#: unit or per sweep.
+#: request or per sweep.
 _WARNED_UNPICKLABLE: set = set()
 
 
-def _offender_key(unit: RequestUnit) -> str:
-    """Identity of an un-picklable unit's *type* of offence.
+def _offender_key(request: RunRequest) -> str:
+    """Identity of an un-picklable request's *type* of offence.
 
     The culprit is almost always the workload factory (a lambda or
     closure), so key on its qualified name: a sweep expanding one
     factory into hundreds of requests is one offence, not hundreds.
     """
-    request = unit[0] if isinstance(unit, list) else unit
     factory = getattr(getattr(request, "workload", None), "factory", None)
     if factory is not None:
         return f"factory:{getattr(factory, '__qualname__', repr(factory))}"
@@ -164,12 +133,12 @@ def reset_unpicklable_warnings() -> None:
     _WARNED_UNPICKLABLE.clear()
 
 
-def _warn_unpicklable(unit: RequestUnit) -> None:
-    key = _offender_key(unit)
+def _warn_unpicklable(request: RunRequest) -> None:
+    key = _offender_key(request)
     if key not in _WARNED_UNPICKLABLE:
         _WARNED_UNPICKLABLE.add(key)
         warnings.warn(
-            f"request {_unit_display(unit)} is not picklable "
+            f"request {request.display} is not picklable "
             f"(lambda/closure workload factory?); running it in-process",
             RuntimeWarning,
             stacklevel=2,
@@ -253,7 +222,7 @@ def _store_counts() -> tuple:
 
 
 def _worker_main(conn, worker_index: int) -> None:
-    """Long-lived worker loop: recv unit, execute, send result.
+    """Long-lived worker loop: recv request, execute, send result.
 
     The per-result payload carries the worker-local trace-store record
     and keyed-draw counters so the driver can prove the zero-re-record
@@ -276,9 +245,9 @@ def _worker_main(conn, worker_index: int) -> None:
             break
         if item is None:
             break
-        task_key, unit = item
+        task_key, request = item
         try:
-            payload = (task_key, True, _run_unit(unit), deltas())
+            payload = (task_key, True, runner.execute_request(request), deltas())
         except BaseException as exc:  # noqa: BLE001 - isolate *any* failure
             payload = (task_key, False, _failure(exc), deltas())
         try:
@@ -311,7 +280,7 @@ class _Worker:
         self.index = index
         self.process = process
         self.conn = conn
-        self.task: Optional[RequestUnit] = None
+        self.task: Optional[RunRequest] = None
         self.busy_since = 0.0
         self.completed = 0
         self.busy_seconds = 0.0
@@ -329,9 +298,9 @@ class _Worker:
 
 
 class WorkerPool:
-    """A pool of persistent unit-executing processes.
+    """A pool of persistent request-executing processes.
 
-    Workers survive across units and across driver runs; a crashed,
+    Workers survive across requests and across driver runs; a crashed,
     hung or unreachable worker is respawned in place.
     """
 
@@ -387,29 +356,29 @@ class WorkerPool:
     def in_flight(self) -> int:
         return sum(1 for worker in self.workers if worker.busy)
 
-    def submit(self, worker: _Worker, unit: RequestUnit) -> Optional[bool]:
-        """Hand ``unit`` to an idle worker.
+    def submit(self, worker: _Worker, request: RunRequest) -> Optional[bool]:
+        """Hand ``request`` to an idle worker.
 
         Returns True once sent; None when the worker was found dead (it
-        is respawned and the unit was not started); False when the unit
-        cannot be pickled and so must run in-process.
+        is respawned and the request was not started); False when the
+        request cannot be pickled and so must run in-process.
         """
         try:
-            worker.conn.send((_unit_key(unit), unit))
+            worker.conn.send((request.key, request))
         except (BrokenPipeError, OSError):
             self.respawn(worker)
             return None
         except Exception:
             return False
-        worker.task = unit
+        worker.task = request
         worker.busy_since = time.monotonic()
         return True
 
     def collect(self, timeout: Optional[float]) -> List[tuple]:
-        """Wait up to one tick; return ``(unit, ok, payload, kind)`` outcomes.
+        """Wait up to one tick; return ``(request, ok, payload, kind)`` outcomes.
 
-        A worker that died, or has held its unit longer than
-        ``timeout`` seconds, is respawned and its unit reported failed.
+        A worker that died, or has held its request longer than
+        ``timeout`` seconds, is respawned and its request reported failed.
         """
         busy = [worker for worker in self.workers if worker.busy]
         if not busy:
@@ -418,7 +387,7 @@ class WorkerPool:
         now = time.monotonic()
         outcomes = []
         for worker in busy:
-            unit = worker.task
+            request = worker.task
             if worker.conn in ready:
                 try:
                     _key, ok, payload, counts = worker.conn.recv()
@@ -427,7 +396,7 @@ class WorkerPool:
                 else:
                     self._note_counts(worker, counts)
                     self._release(worker, now)
-                    outcomes.append((unit, ok, payload, FAILURE_EXCEPTION))
+                    outcomes.append((request, ok, payload, FAILURE_EXCEPTION))
                     continue
             elif not worker.process.is_alive():
                 kind, error = FAILURE_CRASH, None
@@ -440,7 +409,7 @@ class WorkerPool:
             self.respawn(worker)
             if error is None:  # the exit code is known once the process is reaped
                 error = f"worker died mid-request (exit code {worker.process.exitcode})"
-            outcomes.append((unit, False, (error, ""), kind))
+            outcomes.append((request, False, (error, ""), kind))
         return outcomes
 
     def _release(self, worker: _Worker, now: float) -> None:
@@ -532,9 +501,9 @@ class CampaignDriver:
     def pool(self) -> Optional[WorkerPool]:
         return self._pool
 
-    def _ensure_pool(self, units: int) -> WorkerPool:
-        """The pool, with as many workers as ``units`` can use (up to jobs)."""
-        want = min(self.jobs, units)
+    def _ensure_pool(self, requests: int) -> WorkerPool:
+        """The pool, with as many workers as ``requests`` can use (up to jobs)."""
+        want = min(self.jobs, requests)
         if self._pool is None:
             self._pool = WorkerPool(jobs=want)
         else:
@@ -594,7 +563,7 @@ class CampaignDriver:
 
         ledger: List[FailureRecord] = []
         if misses:
-            self._execute(group_requests(misses), results, store, ledger, stats)
+            self._execute(misses, results, store, ledger, stats)
 
         flush = getattr(store, "flush", None)
         if callable(flush):
@@ -614,68 +583,62 @@ class CampaignDriver:
         self._publish(0, 0, results, stats, force=True)
         return CampaignResult(requests, results, ledger, stats)
 
-    def _execute(self, units, results, store, ledger, stats) -> None:
-        """Run ``units`` to completion: the one attempt/requeue loop.
+    def _execute(self, requests, results, store, ledger, stats) -> None:
+        """Run ``requests`` to completion: the one attempt/requeue loop.
 
-        Units run in-process when ``jobs <= 1`` or when a lone unit has
-        no deadline (only a worker can enforce one); otherwise each idle
-        worker takes the next unit.  A unit that cannot be pickled runs
-        in-process too.  In-process and pooled outcomes settle the same
-        way.
+        Requests run in-process when ``jobs <= 1`` or when a lone
+        request has no deadline (only a worker can enforce one);
+        otherwise each idle worker takes the next request.  A request
+        that cannot be pickled runs in-process too.  In-process and
+        pooled outcomes settle the same way.
         """
-        inline = self.jobs <= 1 or (len(units) == 1 and self.timeout is None)
-        pool = None if inline else self._ensure_pool(len(units))
-        pending = deque(units)
+        inline = self.jobs <= 1 or (len(requests) == 1 and self.timeout is None)
+        pool = None if inline else self._ensure_pool(len(requests))
+        pending = deque(requests)
         attempts: Dict[str, int] = {}
 
-        def settle(unit, ok, payload, kind=FAILURE_EXCEPTION):
+        def settle(req, ok, payload, kind=FAILURE_EXCEPTION):
             if ok:
-                self._complete_unit(unit, payload, results, store, stats)
+                self._complete(req, payload, results, store, stats)
                 return
-            ukey = _unit_key(unit)
             error, detail = payload
-            # A group failure is never final: its members requeue as
-            # independent singles with their own attempt budgets, so
-            # grouping never costs failure isolation.
-            group = isinstance(unit, list)
-            final = not group and attempts[ukey] > self.retries
+            final = attempts[req.key] > self.retries
             ledger.append(
                 FailureRecord(
-                    key=ukey, display=_unit_display(unit), kind=kind,
-                    error=error, attempt=attempts[ukey], final=final,
+                    key=req.key, display=req.display, kind=kind,
+                    error=error, attempt=attempts[req.key], final=final,
                     detail=detail,
                 )
             )
             if not final:
                 stats.retries += 1
-                pending.extend(unit if group else [unit])
+                pending.append(req)
 
         while pending or (pool is not None and pool.in_flight):
-            # 1. Start units: one in-process, or one per idle worker.
+            # 1. Start requests: one in-process, or one per idle worker.
             idle = [None] if pool is None else [w for w in pool.workers if not w.busy]
             for worker in idle:
                 if not pending:
                     break
-                unit = pending.popleft()
-                ukey = _unit_key(unit)
-                attempts[ukey] = attempts.get(ukey, 0) + 1
+                req = pending.popleft()
+                attempts[req.key] = attempts.get(req.key, 0) + 1
                 if worker is not None:
-                    sent = pool.submit(worker, unit)
+                    sent = pool.submit(worker, req)
                     if sent:
                         continue
                     if sent is None:
-                        # Dead worker: it was replaced; retry the unit
+                        # Dead worker: it was replaced; retry the request
                         # without charging it an attempt.
-                        attempts[ukey] -= 1
-                        pending.appendleft(unit)
+                        attempts[req.key] -= 1
+                        pending.appendleft(req)
                         continue
-                    _warn_unpicklable(unit)
+                    _warn_unpicklable(req)
                 try:
-                    result = _run_unit(unit)
+                    result = runner.execute_request(req)
                 except Exception as exc:
-                    settle(unit, False, _failure(exc))
+                    settle(req, False, _failure(exc))
                 else:
-                    settle(unit, True, result)
+                    settle(req, True, result)
 
             # 2. Settle whatever the workers finished, crashed or overran.
             if pool is not None:
@@ -693,14 +656,6 @@ class CampaignDriver:
         stats.executed += 1
         if self.use_cache:
             store.put(req.key, result, fingerprint=req.fingerprint())
-
-    def _complete_unit(self, unit, result, results, store, stats) -> None:
-        """Fan a unit's payload out: every member gets its own entry."""
-        if isinstance(unit, list):
-            for req, run in zip(unit, result):
-                self._complete(req, run, results, store, stats)
-        else:
-            self._complete(unit, result, results, store, stats)
 
     _last_publish = 0.0
 

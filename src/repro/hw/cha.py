@@ -60,16 +60,9 @@ class ChaTorCounters:
     ):
         self.noise = noise
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Optional whole-run jitter stream (:mod:`repro.hw.drawplan`):
-        #: serves the same generator's draws chunk-buffered, so the
-        #: counter values stay bit-identical to the unplanned path.
-        self._jitter_stream = None
         tiers = [tier_key(t) for t in range(num_tiers)]
         self._occupancy = {t: 0.0 for t in tiers}
         self._busy = {t: 0.0 for t in tiers}
-
-    def attach_jitter_stream(self, stream) -> None:
-        self._jitter_stream = stream
 
     def advance(self, batch: ShareBatch, jitter: Optional[np.ndarray] = None) -> None:
         """Account one window's traffic into the cumulative counters.
@@ -98,13 +91,7 @@ class ChaTorCounters:
             occ = occ * jitter[:, 0]
             busy = busy * jitter[:, 1]
         elif self.noise > 0.0:
-            if self._jitter_stream is not None:
-                # The live draw is row-major (occ_0, busy_0, occ_1, ...);
-                # a flat take of 2n reshaped the same way serves the
-                # identical values from the buffered stream.
-                jitter = self._jitter_stream.take(2 * n).reshape(n, 2)
-            else:
-                jitter = np.exp(self._rng.normal(0.0, self.noise, size=(n, 2)))
+            jitter = np.exp(self._rng.normal(0.0, self.noise, size=(n, 2)))
             occ = occ * jitter[:, 0]
             busy = busy * jitter[:, 1]
         tiers = batch.tiers

@@ -1,51 +1,41 @@
-"""Whole-run RNG draw plans for replayed traffic streams.
+"""Whole-run draw plans for replayed traffic streams.
 
 Once a traffic stream is recorded (:mod:`repro.workloads.tracestore`),
-every hardware consumer's per-window work is knowable ahead of the run:
-the CHA and perf counters draw a fixed number of jitter normals per
-share/tier, and -- for *static-placement* policies -- the (group, tier)
-share split itself never changes after preallocation.  This module
-exploits both:
+much of each window's hardware work is known before the run starts.
+When a :class:`~repro.sim.machine.Machine` replays a non-looping
+:class:`~repro.workloads.tracestore.ReplayWorkload`, :func:`attach`
+wires in the plans that apply to it:
 
-* :class:`NormalDrawStream` buffers a consumer's normal draws in large
-  chunks.  numpy's ``Generator.normal(size=k)`` consumes its bit stream
-  exactly like ``k`` sequential scalar calls, and any prefix of a
-  vector draw equals the same-length smaller draw, so chunked buffering
-  is **bit-identical** to the live per-call draws for any chunk size --
-  the stream just pays the C-dispatch cost once per chunk instead of
-  once per value.  Each stream owns its generator exclusively; values
-  drawn past the run's end are simply never observed.
-* :func:`split_static` / :func:`static_batches` pre-split the *whole
-  run's* recorded CSR columns by (window, group, tier) in one
-  vectorised pass and hand every window a pre-sliced
-  :class:`~repro.hw.stall.ShareBatch` view --
-  rows in the exact legacy order (per group: tier 0 then tier 1, ...),
-  so solver, PEBS, CHA, and trace consumers see byte-identical inputs.
-* :func:`plan_pebs_batches` / :func:`plan_chmu_batches` precompute each
-  window's sampled :class:`~repro.hw.pebs.PebsBatch` from the static
-  split, walking the shares in the same order (and, for PEBS, drawing
-  from the same generator in the same sequence) as the live path.
+* **Keyed draws (RNG schema 2, any policy).** :func:`_attach_keyed`
+  prestages the whole run's keyed PEBS records and CHA/perf jitter
+  tensors.  Keyed draws cover every trace entry or (group, tier) cell
+  whatever the placement, so they are known at attach time even for
+  dynamic policies.
+* **Static placement** (``policy.static_placement`` and a fully
+  allocated footprint).  :func:`split_static` / :func:`static_batches`
+  split the whole trace by (window, group, tier) in one vectorised pass
+  and hand each window a pre-sliced :class:`~repro.hw.stall.ShareBatch`
+  view, rows in the live order (per group: tier 0 then tier 1, ...).
+  When the policy also takes no PEBS samples, the run has no contender
+  and observability is off, :func:`plan_window_solves` solves every
+  window's fixed point up front in one ``solve_many`` pass.
+* **Moving placement.** :func:`build_entry_meta` prestages the split
+  inputs that do not depend on placement; under schema 2,
+  :func:`build_pebs_pos` indexes the positive keyed PEBS records so the
+  per-window merge becomes a gather.
 
-Under RNG schema 2 (:mod:`repro.hw.substream`) the sequenced-stream
-constraint disappears entirely: sampler and jitter draws are keyed by
-(seed, purpose, window) and cover trace-determined entry sets, so
-:func:`_attach_keyed` prestages the *whole run's* PEBS/CHA/perf draw
-tensors at attach time for **any** policy, dynamic ones included --
-only the per-window placement gather and merge stay in the loop (and
-for static placements even those fold into a finished-batch plan).
+Schema-1 samplers and counter jitter always draw live, window by
+window, from their own generators.
 
-Every artefact that depends on the trace and not on the run is
-computed once: the keyed PEBS records come from the trace store
-(:meth:`~repro.workloads.tracestore.TraceStore.pebs_records`, memo ->
-sidecar file -> one draw), and their positive-record index, the keyed
-jitter tensors, the entry metadata and the static splits are memoised
-on the :class:`~repro.workloads.tracestore.TraceData`, so runs of one
-process that share their inputs share one read-only object.
+Every plan is bit-identical to the live path.  Artefacts that depend on
+the trace and not on the run are computed once: the keyed PEBS records
+come from the trace store
+(:meth:`~repro.workloads.tracestore.TraceStore.pebs_records`: memo,
+then sidecar file, then one draw), and their positive-record index, the
+keyed jitter tensors, the entry metadata and the static splits are
+memoised on the :class:`~repro.workloads.tracestore.TraceData`, so runs
+of one process that share their inputs share one read-only object.
 
-The plans engage automatically when a :class:`Machine` is driven by a
-non-looping :class:`~repro.workloads.tracestore.ReplayWorkload`; the
-static-split and sampler plans additionally require the policy to
-declare :attr:`~repro.sim.policy_api.TieringPolicy.static_placement`.
 Set ``REPRO_NO_DRAWPLAN=1`` to force the live per-window paths.
 """
 
@@ -53,62 +43,17 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.hw.pebs import PebsBatch, PebsSampler
 from repro.hw.stall import ShareBatch
 
 #: Environment switch: any non-empty value disables all draw plans.
 ENV_DISABLE = "REPRO_NO_DRAWPLAN"
 
-#: Default chunk size (draws per refill) for buffered normal streams.
-DEFAULT_CHUNK = 8192
-
-
 def plans_enabled() -> bool:
     return not os.environ.get(ENV_DISABLE, "")
-
-
-class NormalDrawStream:
-    """Chunk-buffered ``exp(Normal(0, scale))`` jitter factors.
-
-    Serves the exact value sequence that repeated scalar (or small
-    vector) ``exp(rng.normal(0, scale, ...))`` calls on the same
-    generator would produce: the generator's bit stream is consumed
-    identically, and ``np.exp`` is elementwise, so chunking changes
-    neither the draws nor their rounding.
-    """
-
-    __slots__ = ("_rng", "scale", "chunk", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator, scale: float, chunk: int = DEFAULT_CHUNK):
-        if scale <= 0.0:
-            raise ValueError("jitter stream needs a positive noise scale")
-        self._rng = rng
-        self.scale = scale
-        self.chunk = max(int(chunk), 1)
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` jitter factors (a read-only-by-convention view)."""
-        end = self._pos + n
-        if end > self._buf.size:
-            self._refill(n)
-            end = n
-        out = self._buf[self._pos : end]
-        self._pos = end
-        return out
-
-    def _refill(self, need: int) -> None:
-        leftover = self._buf[self._pos :]
-        fresh = np.exp(
-            self._rng.normal(0.0, self.scale, size=max(self.chunk, need - leftover.size))
-        )
-        self._buf = np.concatenate([leftover, fresh]) if leftover.size else fresh
-        self._pos = 0
 
 
 def _readonly(*arrays) -> None:
@@ -417,21 +362,6 @@ class StaticSplitPlan:
         return self._batches
 
 
-class WindowSamplePlan:
-    """Precomputed per-window :class:`PebsBatch` stream."""
-
-    __slots__ = ("_batches",)
-
-    def __init__(self, batches: List[Optional[PebsBatch]]):
-        self._batches = batches
-
-    def batch_for(self, window: int) -> PebsBatch:
-        batch = self._batches[window]
-        if batch is None:  # pragma: no cover - machine never samples empty windows
-            raise LookupError(f"window {window} recorded no groups")
-        return batch
-
-
 class WindowSolvePlan:
     """Pre-solved :class:`~repro.hw.stall.WindowHardware` per window."""
 
@@ -457,7 +387,7 @@ def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycle
     are the only sources of either, and a static no-PEBS run produces
     neither).  The windows are therefore independent fixed points, and
     ``solve_many`` -- whose per-element bit-identity to serial solves
-    the multi-run tests pin -- computes them all in one fused pass.
+    the stall tests pin -- computes them all in one fused pass.
     """
     idx = [w for w, b in enumerate(batches) if b is not None]
     solved = model.solve_many(
@@ -470,91 +400,6 @@ def plan_window_solves(model, batches: List[Optional[ShareBatch]], compute_cycle
     for w, outcome in zip(idx, solved):
         outcomes[w] = outcome
     return WindowSolvePlan(outcomes)
-
-
-def plan_pebs_batches(
-    sampler: PebsSampler,
-    batches: List[Optional[ShareBatch]],
-    tiers: Tuple,
-) -> WindowSamplePlan:
-    """Draw the whole run's PEBS samples up front, in live stream order.
-
-    The two binomials per share are sequenced (the record draw thins
-    the load draw's output), so the draws cannot be batched across
-    shares -- but with a static placement every share's counts are
-    known now, and the live path only ever samples non-empty windows in
-    window order.  Replaying that exact call sequence here consumes the
-    sampler's generator bit-identically and moves the whole RNG tail
-    (and the per-window merge) out of the measured loop.
-    """
-    return WindowSamplePlan(
-        [None if b is None else sampler.sample(b, tiers=tiers) for b in batches]
-    )
-
-
-def plan_chmu_batches(sampler, batches: List[Optional[ShareBatch]]) -> WindowSamplePlan:
-    """Precompute every CHMU epoch drain from the static split.
-
-    CHMU sampling is RNG-free integer accumulation, so epochs can be
-    aggregated with one sort + ``reduceat`` over the epoch's slow-tier
-    entries instead of per-window ``np.add.at`` into a footprint-sized
-    counter array; integer sums are order-exact, and the aggregation
-    and drain helpers are the very code the live sampler runs.
-    """
-    from repro.hw.chmu import aggregate_epoch, drain_hotlist
-
-    code = int(sampler.tier)
-    out: List[Optional[PebsBatch]] = []
-    epoch_pages: List[np.ndarray] = []
-    epoch_counts: List[np.ndarray] = []
-    in_epoch = 0
-    for batch in batches:
-        if batch is None:
-            out.append(None)
-            continue
-        for i in range(batch.n):
-            if int(batch.tier_codes[i]) == code and batch.offsets[i + 1] > batch.offsets[i]:
-                epoch_pages.append(batch.pages_of(i))
-                epoch_counts.append(batch.counts_of(i))
-        in_epoch += 1
-        if in_epoch < sampler.epoch_windows:
-            out.append(PebsBatch.empty(rate=1))
-            continue
-        in_epoch = 0
-        touched, sums = aggregate_epoch(epoch_pages, epoch_counts)
-        epoch_pages, epoch_counts = [], []
-        out.append(
-            drain_hotlist(touched, sums, sampler.hotlist_size, sampler.readout_cycles)
-        )
-    return WindowSamplePlan(out)
-
-
-def plan_keyed_pebs_batches(sampler, record_plan, data, placement) -> WindowSamplePlan:
-    """Merge prestaged keyed records against a *frozen* placement.
-
-    Static-placement schema-2 runs know every window's placement gather
-    now, so the whole sampler -- draw *and* merge -- leaves the timed
-    loop.  Each window's merge is the very
-    :meth:`~repro.hw.substream.KeyedPebsSampler.merge_window` call the
-    live path makes, over the same trace-order entry slices.
-    """
-    c = data.columns
-    wgp = np.asarray(c["window_group_ptr"])
-    gpp = np.asarray(c["group_page_ptr"])
-    pages = np.asarray(c["pages"])
-    entry_ptr = np.asarray(gpp[wgp], dtype=np.int64)
-    out: List[Optional[PebsBatch]] = []
-    for w in range(wgp.size - 1):
-        if wgp[w + 1] == wgp[w]:
-            out.append(None)
-            continue
-        e0, e1 = int(entry_ptr[w]), int(entry_ptr[w + 1])
-        out.append(
-            sampler.merge_window(
-                record_plan.window_records(w), pages[e0:e1], placement
-            )
-        )
-    return WindowSamplePlan(out)
 
 
 def _shared_jitter(jitter, data, sizes: np.ndarray) -> None:
@@ -581,7 +426,7 @@ def _shared_pebs_pos(record_plan, data) -> PebsPosPlan:
     return data.memoized(("pebs_pos", record_plan.key), build)
 
 
-def _attach_keyed(machine, data) -> bool:
+def _attach_keyed(machine, data) -> None:
     """Prestage schema-2 keyed draw tensors for *any* policy.
 
     Keyed draws are decision-independent -- per window they cover every
@@ -599,66 +444,44 @@ def _attach_keyed(machine, data) -> bool:
     wgp = np.asarray(data.columns["window_group_ptr"])
     groups_per_window = np.diff(wgp)
     T = machine.num_tiers
-    engaged = False
     if machine._keyed_cha is not None:
         _shared_jitter(machine._keyed_cha, data, 2 * T * groups_per_window)
-        engaged = True
     if machine._keyed_perf is not None:
         _shared_jitter(
             machine._keyed_perf, data, np.where(groups_per_window > 0, 2 * T, 0)
         )
-        engaged = True
     if machine._keyed_pebs is not None:
         machine._pebs_records = get_default_trace_store().pebs_records(
             data, machine._keyed_pebs
         )
-        engaged = True
-    return engaged
 
 
-def attach(machine) -> bool:
+def attach(machine) -> None:
     """Wire whole-run draw plans into ``machine`` when replay drives it.
 
     Called at the end of ``Machine.__init__`` (placement is settled by
-    then).  Jitter streams (schema 1) or keyed draw tensors (schema 2)
-    engage for every policy; the static split and sampler plans
-    additionally need ``policy.static_placement`` and a fully
-    preallocated footprint.  Returns True when anything engaged.
+    then).  Keyed draw tensors (schema 2) engage for every policy; a
+    static placement then gets the whole-run split and, when nothing
+    carries over between windows, the pre-solve; a moving placement
+    gets the entry metadata and the positive-record PEBS index.
     """
     if not plans_enabled():
-        return False
+        return
     from repro.workloads.tracestore import ReplayWorkload
 
     workload = machine.workload
     if not isinstance(workload, ReplayWorkload) or workload.loop:
-        return False
+        return
     data = workload.trace_data
-    engaged = False
-    keyed = machine.rng_schema == 2
-    if keyed:
-        engaged = _attach_keyed(machine, data)
-    else:
-        if machine.cha.noise > 0.0:
-            machine.cha.attach_jitter_stream(
-                NormalDrawStream(machine.cha._rng, machine.cha.noise)
-            )
-            engaged = True
-        if machine.perf.noise > 0.0:
-            wgp = np.asarray(data.columns["window_group_ptr"])
-            nonempty = int(np.count_nonzero(np.diff(wgp)))
-            total = 2 * machine.num_tiers * nonempty
-            if total > 0:
-                machine.perf.attach_jitter_stream(
-                    NormalDrawStream(machine.perf._rng, machine.perf.noise, chunk=total)
-                )
-                engaged = True
+    if machine.rng_schema == 2:
+        _attach_keyed(machine, data)
     policy = machine.policy
+    T = machine.num_tiers
     if getattr(policy, "static_placement", False) and machine.memory.fully_allocated:
         # The split depends on (trace, tier count, placement) only, so
         # runs sharing them share one; the placement enters by content,
         # never by assuming which runs place alike.
         placement = machine.memory.placement
-        T = machine.num_tiers
         misses_only = machine._misses_only_split
         split = data.memoized(
             ("static_split", T, misses_only, placement.dtype.str,
@@ -667,7 +490,6 @@ def attach(machine) -> bool:
         )
         batches = static_batches(data, split)
         machine._split_plan = StaticSplitPlan(batches)
-        engaged = True
         if (
             not policy.needs_pebs
             and machine.contender is None
@@ -680,75 +502,34 @@ def attach(machine) -> bool:
             machine._solve_plan = plan_window_solves(
                 machine.stall_model, batches, data.columns["window_compute"]
             )
-        if policy.needs_pebs:
-            sampler = machine.pebs
-            if keyed and machine._keyed_pebs is not None:
-                if not machine._keyed_pebs.report_latency:
-                    # Frozen placement: fold the merge in too and drop
-                    # the per-window records (the merged plan serves
-                    # finished batches).  Latency-reporting samplers
-                    # keep the records and merge live -- the unit stall
-                    # costs come from each window's solved shares.
-                    machine._pebs_plan = plan_keyed_pebs_batches(
-                        machine._keyed_pebs,
-                        machine._pebs_records,
-                        data,
-                        machine.memory.placement,
-                    )
-                    machine._pebs_records = None
-            elif isinstance(sampler, PebsSampler) and not sampler.report_latency:
-                # TPEBS latency reporting reads each share's *solved*
-                # unit stall cost, which is unknown before the run --
-                # those samplers keep the live path.
-                machine._pebs_plan = plan_pebs_batches(
-                    sampler, batches, machine._pebs_tiers()
-                )
-            else:
-                from repro.hw.chmu import ChmuSampler
-
-                if isinstance(sampler, ChmuSampler):
-                    machine._pebs_plan = plan_chmu_batches(sampler, batches)
-    if machine._split_plan is None:
-        # Dynamic placement: the split itself stays in the loop, but its
-        # trace-determined inputs (key bases, float counts, sortedness)
-        # leave it.  The plan depends only on (trace, num_tiers), so
-        # every run of the process replaying the same trace shares one.
-        T = machine.num_tiers
-        machine._entry_meta = data.memoized(
-            ("entry_meta", T), lambda: build_entry_meta(data, T)
-        )
-        engaged = True
-        if (
-            machine._keyed_pebs is not None
-            and machine._pebs_plan is None
-            and machine._pebs_records is not None
-            and not machine._keyed_pebs.report_latency
-        ):
-            # Keyed PEBS under a moving placement: prestage the
-            # positive-record subset; the merge becomes a gather over
-            # it (latency-reporting samplers keep the full records --
-            # their per-entry latency lookup needs the solved shares).
-            machine._pebs_pos = _shared_pebs_pos(machine._pebs_records, data)
-            machine._pebs_records = None
-    return engaged
+        return
+    # Dynamic placement: the split itself stays in the loop, but its
+    # trace-determined inputs (key bases, float counts, sortedness)
+    # leave it.  The plan depends only on (trace, num_tiers), so every
+    # run of the process replaying the same trace shares one.
+    machine._entry_meta = data.memoized(
+        ("entry_meta", T), lambda: build_entry_meta(data, T)
+    )
+    if machine._pebs_records is not None and not machine._keyed_pebs.report_latency:
+        # Keyed PEBS under a moving placement: prestage the
+        # positive-record subset; the merge becomes a gather over it
+        # (latency-reporting samplers keep the full records -- their
+        # per-entry latency lookup needs the solved shares).
+        machine._pebs_pos = _shared_pebs_pos(machine._pebs_records, data)
+        machine._pebs_records = None
 
 
 __all__ = [
     "ENV_DISABLE",
     "EntryMetaPlan",
-    "NormalDrawStream",
     "PebsPosPlan",
     "StaticSplit",
     "StaticSplitPlan",
-    "WindowSamplePlan",
     "WindowSolvePlan",
     "attach",
     "build_entry_meta",
     "build_pebs_pos",
     "build_static_batches",
-    "plan_chmu_batches",
-    "plan_keyed_pebs_batches",
-    "plan_pebs_batches",
     "plan_window_solves",
     "plans_enabled",
     "split_static",

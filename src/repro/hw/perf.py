@@ -71,8 +71,6 @@ class PerfCounters:
     ):
         self.noise = noise
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Optional whole-run jitter stream (:mod:`repro.hw.drawplan`).
-        self._jitter_stream = None
         self._cycles = 0.0
         tiers = [tier_key(t) for t in range(num_tiers)]
         self._llc_misses = {t: 0.0 for t in tiers}
@@ -83,42 +81,31 @@ class PerfCounters:
     def advance(self, outcome: WindowHardware, jitter: Optional[np.ndarray] = None) -> None:
         """Account one solved window into the cumulative counters.
 
-        ``jitter``, when given, supplies the window's ``2 * num_tiers``
-        multiplicative noise factors (miss, stall interleaved in tier
-        order) in place of this counter's own stream draws -- the
-        schema-2 keyed path (:mod:`repro.hw.substream`).
+        Each tier's miss and stall counts carry a multiplicative noise
+        factor: ``2 * num_tiers`` of them, (miss, stall) interleaved in
+        tier order.  ``jitter``, when given, supplies them -- the
+        schema-2 keyed path (:mod:`repro.hw.substream`).  Otherwise one
+        vector draw from this counter's generator does; it consumes the
+        stream exactly as ``2 * num_tiers`` sequential scalar draws
+        would.  Without noise every factor is 1.
         """
         self._cycles += outcome.duration_cycles
         loads = outcome.tier_loads
         if jitter is not None:
-            k = 0
-            for tier, load in loads.items():
-                self._llc_misses[tier] += load.misses * float(jitter[k])
-                self._stalls[tier] += load.stall_cycles * float(jitter[k + 1])
-                self._bytes[tier] += load.bytes
-                self._latency[tier] = load.effective_latency_cycles
-                k += 2
-            return
-        if self._jitter_stream is not None and self.noise > 0.0:
-            # Exactly 2 draws per tier per window, in tier order -- the
-            # same stream positions the scalar _jitter() calls consume.
-            jitter = self._jitter_stream.take(2 * len(loads))
-            k = 0
-            for tier, load in loads.items():
-                self._llc_misses[tier] += load.misses * float(jitter[k])
-                self._stalls[tier] += load.stall_cycles * float(jitter[k + 1])
-                self._bytes[tier] += load.bytes
-                self._latency[tier] = load.effective_latency_cycles
-                k += 2
-            return
+            factors = jitter.tolist()
+        elif self.noise > 0.0:
+            factors = np.exp(
+                self._rng.normal(0.0, self.noise, size=2 * len(loads))
+            ).tolist()
+        else:
+            factors = [1.0] * (2 * len(loads))
+        k = 0
         for tier, load in loads.items():
-            self._llc_misses[tier] += load.misses * self._jitter()
-            self._stalls[tier] += load.stall_cycles * self._jitter()
+            self._llc_misses[tier] += load.misses * factors[k]
+            self._stalls[tier] += load.stall_cycles * factors[k + 1]
             self._bytes[tier] += load.bytes
             self._latency[tier] = load.effective_latency_cycles
-
-    def attach_jitter_stream(self, stream) -> None:
-        self._jitter_stream = stream
+            k += 2
 
     def read(self) -> PerfSnapshot:
         return PerfSnapshot(
@@ -128,8 +115,3 @@ class PerfCounters:
             bytes=dict(self._bytes),
             effective_latency_cycles=dict(self._latency),
         )
-
-    def _jitter(self) -> float:
-        if self.noise <= 0.0:
-            return 1.0
-        return float(np.exp(self._rng.normal(0.0, self.noise)))

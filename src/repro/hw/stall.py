@@ -600,14 +600,13 @@ class StallModel:
         extra_bytes_list: Sequence[Optional[Dict[Tier, float]]],
         extra_cycles_list: Sequence[float],
     ) -> List[WindowHardware]:
-        """Solve one window for ``R`` independent runs in one pass.
+        """Solve ``R`` independent windows in one pass.
 
-        The multi-run driver (:mod:`repro.sim.runbatch`) steps R machines
-        over the *same* recorded trace in lockstep, and a static replay
-        (:mod:`repro.hw.drawplan`) solves every window of a run at once;
-        either way the per-run fixed points are independent, so their
-        per-share work is fused.  Every returned :class:`WindowHardware`
-        is bit-identical to R separate :meth:`solve` calls.
+        A static replay (:mod:`repro.hw.drawplan`) solves every window of
+        a run at once: with nothing carried between windows the fixed
+        points are independent, so their per-share work is fused.  Every
+        returned :class:`WindowHardware` is bit-identical to R separate
+        :meth:`solve` calls.
         """
         return self._solve_runs(batches, compute_cycles, extra_bytes_list, extra_cycles_list)
 

@@ -29,7 +29,7 @@ computable at attach time, for any policy -- that is what
 :mod:`repro.hw.drawplan` prestages.  The live fallback draws the same
 keyed substreams window by window, so prestaged and live schema-2 runs
 are bit-identical by construction, and draws are invariant to chunk
-size, window order, and multi-run grouping.  Policies compared under
+size, window order, and which runs share a process.  Policies compared under
 the same seed see *common random numbers*: identical PEBS thinning and
 jitter draws wherever their placements agree.
 """
@@ -128,7 +128,7 @@ class KeyedPebsSampler:
         Each window gets a fresh generator keyed by (seed, "pebs") at
         counter position ``window``, so the draw depends only on the
         window's own entry set -- never on other windows, the order
-        they are drawn in, or which run of a multi-run group asks.
+        they are drawn in, or which run asks.
         """
         rng = keyed_generator(self._key, window)
         if self.loads_only:

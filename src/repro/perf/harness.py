@@ -95,12 +95,12 @@ class MultiRunScenario:
     """One timed multi-run group: seeds x ratios of a (workload, policy).
 
     Models the shape campaign sweeps actually execute -- many runs of
-    the same pair differing only in seed and capacity ratio -- so the
-    harness times the lockstep :class:`~repro.sim.runbatch.MultiMachine`
-    path when replaying and the serial live path when not.  Both paths
-    produce bit-identical per-run results; ``run_runtime_cycles`` pins
-    each member and ``runtime_cycles`` (their ordered sum) feeds the
-    same baseline identity gate as the single-run scenarios.
+    the same pair differing only in seed and capacity ratio.  The
+    harness times the members one after another through
+    :class:`~repro.sim.runbatch.MultiMachine`, replaying or live.  Both
+    modes produce bit-identical per-run results; ``run_runtime_cycles``
+    pins each member and ``runtime_cycles`` (their ordered sum) feeds
+    the same baseline identity gate as the single-run scenarios.
     """
 
     name: str
@@ -147,7 +147,7 @@ SUITE: "tuple[PerfScenario, ...]" = tuple(
 
 #: Multi-run additions to the suite: the acceptance-critical PACT case
 #: and the heaviest dynamic baseline, each swept across seeds and
-#: ratios, exercising the lockstep executor.
+#: ratios, as a campaign grid runs them.
 MULTI_SUITE: "tuple[MultiRunScenario, ...]" = (
     MultiRunScenario(name="graph-pact-multi", workload="bc-kron", policy="PACT"),
     MultiRunScenario(name="memtis-multi", workload="bc-kron", policy="Memtis"),
@@ -155,7 +155,7 @@ MULTI_SUITE: "tuple[MultiRunScenario, ...]" = (
 
 #: ``--quick`` subset: same scenario parameters, graph workload only
 #: (the acceptance-critical PACT case plus both baselines for context,
-#: and the multi-run grids that exercise the lockstep executor).
+#: and the two seed x ratio grids).
 QUICK_NAMES = (
     "graph-pact",
     "graph-memtis",
@@ -314,12 +314,12 @@ def run_multi_scenario(
 ) -> Dict[str, object]:
     """Time one multi-run grid; best-of-``repeats`` plus a profiled leg.
 
-    With ``trace_store`` the timed repeats run all members in lockstep
-    through :class:`~repro.sim.runbatch.MultiMachine` (the configuration
-    campaign sweeps use); without one, members run serially on live
-    generators.  Either way each member's ``runtime_cycles`` is recorded
-    in ``run_runtime_cycles`` and the profiled extra leg re-runs every
-    member serially with observability on, asserting per-run equality --
+    The timed repeats run the members serially through
+    :class:`~repro.sim.runbatch.MultiMachine`: replaying with
+    ``trace_store``, on live generators without one.  Each member's
+    ``runtime_cycles`` is recorded in ``run_runtime_cycles`` and the
+    profiled extra leg re-runs every member with observability on,
+    asserting per-run equality --
     so a replay-mode report and a ``--no-replay`` report must agree on
     ``runtime_cycles`` exactly (the CI smoke leg checks precisely that).
     """
@@ -337,10 +337,7 @@ def run_multi_scenario(
     for _ in range(max(repeats, 1)):
         machines = scenario.build_machines(trace_store)
         t0 = time.perf_counter()
-        if trace_store is not None:
-            results = MultiMachine(machines).run()
-        else:
-            results = [machine.run() for machine in machines]
+        results = MultiMachine(machines).run()
         wall = time.perf_counter() - t0
         windows = sum(result.windows for result in results)
         run_cycles = [result.runtime_cycles for result in results]
@@ -389,16 +386,11 @@ def run_multi_scenario(
                 agg["calls"] += t["calls"]
         record["spans"] = spans
     if profile_dir is not None:
-
-        def _run_once():
-            machines = scenario.build_machines(trace_store)
-            if trace_store is not None:
-                MultiMachine(machines).run()
-            else:
-                for machine in machines:
-                    machine.run()
-
-        record["cprofile"] = _cprofile_run(scenario.name, _run_once, profile_dir)
+        record["cprofile"] = _cprofile_run(
+            scenario.name,
+            lambda: MultiMachine(scenario.build_machines(trace_store)).run(),
+            profile_dir,
+        )
     return record
 
 

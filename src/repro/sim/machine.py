@@ -168,12 +168,10 @@ class Machine:
         self._window = 0
         self._empty_windows = 0
         #: Whole-run plans (:mod:`repro.hw.drawplan`): a pre-split
-        #: ShareBatch per recorded window, presampled PEBS/CHMU batches,
-        #: and (for static no-PEBS runs without a contender) the
-        #: pre-solved per-window hardware outcomes.  All stay ``None``
-        #: outside static replayed runs.
+        #: ShareBatch per recorded window and (for static no-PEBS runs
+        #: without a contender) the pre-solved per-window hardware
+        #: outcomes.  Both stay ``None`` outside static replayed runs.
         self._split_plan = None
-        self._pebs_plan = None
         self._solve_plan = None
         #: Dynamic-replay prestages: trace-determined split/touch inputs
         #: and the positive-record PEBS subset (:mod:`repro.hw.drawplan`).
@@ -282,11 +280,7 @@ class Machine:
 
     def _prepare_window(self, traffic):
         """Everything before the stall solve: traffic concat, first-touch
-        allocation, the (group, tier) split, and contention inputs.
-
-        Split out of :meth:`step` so the multi-run driver
-        (:mod:`repro.sim.runbatch`) can prepare every run's window, solve
-        them all in one batched call, then finish each run."""
+        allocation, the (group, tier) split, and contention inputs."""
         # Concatenate the window's traffic once and reuse it for both
         # the touched-page set (first-touch allocation, the policy's
         # Observation) and the LRU/activity touch in _finish_window --
@@ -469,9 +463,9 @@ class Machine:
 
         Returns ``(pebs_drawn, cha_jitter, perf_jitter)``.  Under
         schema 1 the jitters are ``None`` (the counters draw their own
-        streams) and ``pebs_drawn`` is a planned batch, the sampler's
-        sequenced draw tuple, or ``None`` (CHMU accumulates in the merge
-        stage).  Under schema 2 every stochastic input comes from keyed
+        streams) and ``pebs_drawn`` is the sampler's sequenced draw
+        tuple, or ``None`` (CHMU accumulates in the merge stage).
+        Under schema 2 every stochastic input comes from keyed
         substreams: prestaged tensors when replay made them plannable,
         live per-window keyed draws otherwise -- bit-identical either
         way.
@@ -495,40 +489,29 @@ class Machine:
                 perf_jitter = self._keyed_perf.window_values(
                     self._window, 2 * self.num_tiers
                 )
-            if self.policy.needs_pebs:
-                if self._pebs_plan is not None:
-                    pebs_drawn = self._pebs_plan.batch_for(self._window)
-                elif self._keyed_pebs is not None:
-                    if self._pebs_pos is not None:
-                        # Positive-record subset prestaged: nothing to
-                        # draw; the merge stage reads the plan directly.
-                        pebs_drawn = None
-                    elif self._pebs_records is not None:
-                        pebs_drawn = self._pebs_records.window_records(self._window)
-                    else:
-                        lf = (
-                            entry_load_fractions(traffic.groups)
-                            if self._keyed_pebs.loads_only
-                            else None
-                        )
-                        pebs_drawn = self._keyed_pebs.window_records(
-                            self._window, all_counts, lf
-                        )
+            # With the positive-record subset prestaged there is nothing
+            # to draw: the merge stage reads the plan directly.
+            if self._keyed_pebs is not None and self._pebs_pos is None:
+                if self._pebs_records is not None:
+                    pebs_drawn = self._pebs_records.window_records(self._window)
+                else:
+                    lf = (
+                        entry_load_fractions(traffic.groups)
+                        if self._keyed_pebs.loads_only
+                        else None
+                    )
+                    pebs_drawn = self._keyed_pebs.window_records(
+                        self._window, all_counts, lf
+                    )
             return pebs_drawn, cha_jitter, perf_jitter
-        if self.policy.needs_pebs:
-            if self._pebs_plan is not None:
-                pebs_drawn = self._pebs_plan.batch_for(self._window)
-            elif isinstance(self.pebs, PebsSampler):
-                pebs_drawn = self.pebs.draw(shares, tiers=self._pebs_tiers())
+        if self.policy.needs_pebs and isinstance(self.pebs, PebsSampler):
+            pebs_drawn = self.pebs.draw(shares, tiers=self._pebs_tiers())
         return pebs_drawn, cha_jitter, perf_jitter
 
     def _merge_hw(self, pebs_drawn, traffic, all_pages, shares) -> PebsBatch:
         """The window's merge stage: turn draws into a PebsBatch."""
         if not self.policy.needs_pebs:
             return PebsBatch.empty(self.pebs.rate)
-        if isinstance(pebs_drawn, PebsBatch):
-            # Planned batches (static replay) arrive fully merged.
-            return pebs_drawn
         if self.rng_schema == 2 and self._keyed_pebs is not None:
             if self._pebs_pos is not None:
                 pos_idx, pages_pos, recs_pos, srt = self._pebs_pos.window(

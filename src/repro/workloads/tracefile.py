@@ -28,49 +28,81 @@ run needs more work than the trace holds (set ``loop=False`` to stop at
 trace end instead).  ``record_trace`` produces this format from any
 existing workload, so synthetic generators can be frozen into
 deterministic fixtures.
+
+``TraceWorkload`` packs the dict into the same columns a recorded
+stream uses (:func:`repro.workloads.tracestore.pack_windows`) and
+replays them through :class:`~repro.workloads.tracestore.ReplayWorkload`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Iterator, List, Union
 
 import numpy as np
 
-from repro.hw.access import AccessGroup
-from repro.mem.page import ObjectRegion
+from repro.hw.access import AccessGroup, WindowTraffic
 from repro.workloads.base import Workload
+from repro.workloads.tracestore import (
+    ReplayWorkload,
+    TraceData,
+    content_digest,
+    pack_windows,
+)
 
 PathLike = Union[str, Path]
 
 
-class TraceWorkload(Workload):
-    """Replays a recorded window-by-window access trace."""
+class TraceWorkload(ReplayWorkload):
+    """Replays a JSON window-by-window access trace.
+
+    The cache identity is the trace's parameters plus a digest of its
+    packed content, so two traces that touch different pages never
+    share a cached result.
+    """
 
     def __init__(self, trace: dict, loop: bool = True, seed: int = 0):
         _validate_trace(trace)
-        self._trace_windows = trace["windows"]
-        self.loop = loop
-        windows = self._trace_windows
-        per_window = [
-            sum(sum(g["counts"]) for g in w["groups"]) for w in windows
-        ]
-        total = sum(per_window)
-        super().__init__(
-            name=trace.get("name", "trace"),
-            footprint_pages=int(trace["footprint_pages"]),
-            total_misses=total if not loop else max(total, 1),
-            misses_per_window=max(total // max(len(windows), 1), 1),
-            compute_cycles_per_miss=float(trace.get("compute_cycles_per_miss", 40.0)),
-            seed=seed,
-            objects=[
-                ObjectRegion(o["name"], int(o["start_page"]), int(o["num_pages"]))
-                for o in trace.get("objects", [])
-            ]
-            or [ObjectRegion("trace_heap", 0, int(trace["footprint_pages"]))],
+        footprint = int(trace["footprint_pages"])
+        cpm = float(trace.get("compute_cycles_per_miss", 40.0))
+        windows = trace["windows"]
+        total = sum(
+            sum(sum(g["counts"]) for g in w.get("groups", [])) for w in windows
         )
-        self._cursor = 0
+        total_misses = total if not loop else max(total, 1)
+        columns, phases, labels = pack_windows(
+            _trace_traffic(windows, cpm, total_misses)
+        )
+        columns["alloc_order"] = np.arange(footprint, dtype=np.int64)
+        meta = {
+            "name": trace.get("name", "trace"),
+            "footprint_pages": footprint,
+            "total_misses": total_misses,
+            "misses_per_window": max(total // max(len(windows), 1), 1),
+            "compute_cycles_per_miss": cpm,
+            "seed": seed,
+        }
+        objects = [
+            (o["name"], int(o["start_page"]), int(o["num_pages"]))
+            for o in trace.get("objects", [])
+        ] or [("trace_heap", 0, footprint)]
+        data = TraceData(
+            workload=meta,
+            fingerprint={},
+            objects=objects,
+            final_metrics={},
+            phases=phases,
+            labels=labels,
+            columns=columns,
+            source_class=type(self).__qualname__,
+        )
+        data.fingerprint = {
+            "class": type(self).__qualname__,
+            **meta,
+            "content": content_digest(data),
+        }
+        super().__init__(data, loop=loop)
 
     @classmethod
     def from_file(cls, path: PathLike, loop: bool = True) -> Workload:
@@ -83,39 +115,19 @@ class TraceWorkload(Workload):
         """
         path = Path(path)
         if path.suffix == ".npt":
-            from repro.workloads.tracestore import ReplayWorkload
-
             return ReplayWorkload.from_file(path, loop=loop)
         return cls(json.loads(path.read_text()), loop=loop)
 
     def set_total_misses(self, total: int) -> None:
         """Stretch/shrink the work budget (the trace loops to cover it)."""
-        if total <= 0:
-            raise ValueError("total must be positive")
-        if not self.loop:
-            raise ValueError("cannot stretch a non-looping trace")
-        self.total_misses = total
+        super().set_total_misses(total)
+        self.replay_fingerprint["total_misses"] = total
 
-    def _on_reset(self) -> None:
-        self._cursor = 0
 
-    def next_window(self):
-        # Override the budgeted base implementation: a trace prescribes
-        # each window's traffic exactly.
-        from repro.hw.access import WindowTraffic
-
-        if self._cursor >= len(self._trace_windows):
-            if not self.loop:
-                self._consumed = self.total_misses
-                return WindowTraffic(
-                    groups=[],
-                    compute_cycles=0.0,
-                    done=True,
-                    extra={"consumed_after": self._consumed},
-                )
-            self._cursor = 0
-        entry = self._trace_windows[self._cursor]
-        self._cursor += 1
+def _trace_traffic(windows, cpm: float, total_misses: int) -> Iterator[WindowTraffic]:
+    """The trace's windows as the traffic a workload would emit."""
+    consumed = 0
+    for i, entry in enumerate(windows):
         groups = [
             AccessGroup(
                 pages=np.asarray(g["pages"], dtype=np.int64),
@@ -124,21 +136,17 @@ class TraceWorkload(Workload):
                 load_fraction=float(g.get("load_fraction", 1.0)),
                 label=g.get("label", ""),
             )
-            for g in entry["groups"]
+            for g in entry.get("groups", [])
         ]
         emitted = sum(g.total_misses for g in groups)
-        self._consumed += emitted
-        self._window += 1
-        return WindowTraffic(
+        consumed += emitted
+        yield WindowTraffic(
             groups=groups,
-            compute_cycles=emitted * self.compute_cycles_per_miss,
-            done=self.done,
-            phase=entry.get("phase", f"trace-{self._cursor - 1}"),
-            extra={"consumed_after": self._consumed},
+            compute_cycles=emitted * cpm,
+            done=consumed >= total_misses,
+            phase=entry.get("phase", f"trace-{i}"),
+            extra={"consumed_after": consumed},
         )
-
-    def _emit(self, budget, rng):  # pragma: no cover - next_window overridden
-        raise NotImplementedError
 
 
 def record_trace(workload: Workload, windows: int) -> dict:
@@ -199,5 +207,7 @@ def _validate_trace(trace: dict) -> None:
                 raise ValueError(f"window {i}: pages/counts length mismatch")
             if pages and (max(pages) >= footprint or min(pages) < 0):
                 raise ValueError(f"window {i}: page id outside footprint")
+            if group["counts"] and min(group["counts"]) < 0:
+                raise ValueError(f"window {i}: negative miss count")
             if float(group["mlp"]) <= 0:
                 raise ValueError(f"window {i}: non-positive mlp")

@@ -46,7 +46,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 try:
     import fcntl
@@ -195,18 +195,16 @@ class TraceData:
 # ---------------------------------------------------------------------------
 
 
-def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
-    """Freeze a workload's traffic stream into columnar arrays.
+def pack_windows(
+    windows: Iterable[WindowTraffic],
+) -> Tuple[Dict[str, np.ndarray], List[str], List[str]]:
+    """Pack a window stream into the trace's CSR columns.
 
-    Consumes ``workload`` exactly as :meth:`Machine.run` would -- one
-    ``next_window`` per window while the workload is not done and the
-    budget holds -- so the recorded stream, the per-window consumed
-    counters, and the end-of-run ``final_metrics`` all match what a
-    live run observes.  The workload is reset afterwards.
+    Returns ``(columns, phases, labels)``: every column except
+    ``alloc_order``, plus the string tables that the ``window_phase``
+    and ``group_label`` codes index.  Each window must carry
+    ``extra["consumed_after"]``.
     """
-    fingerprint = _source_fingerprint(workload)
-    workload.reset()
-
     page_parts: List[np.ndarray] = []
     count_parts: List[np.ndarray] = []
     group_sizes: List[int] = []
@@ -221,29 +219,19 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
     phases: Dict[str, int] = {}
     labels: Dict[str, int] = {}
 
-    recorded = 0
-    while not workload.done and recorded < max_windows:
-        chunk = workload.next_windows(min(RECORD_CHUNK, max_windows - recorded))
-        if not chunk:
-            break
-        for traffic in chunk:
-            for group in traffic.groups:
-                page_parts.append(group.pages)
-                count_parts.append(group.counts)
-                group_sizes.append(group.pages.shape[0])
-                group_mlp.append(float(group.mlp))
-                group_lf.append(float(group.load_fraction))
-                group_label.append(labels.setdefault(group.label, len(labels)))
-            win_groups.append(len(traffic.groups))
-            win_compute.append(float(traffic.compute_cycles))
-            win_consumed.append(int(traffic.extra["consumed_after"]))
-            win_done.append(bool(traffic.done))
-            win_phase.append(phases.setdefault(traffic.phase, len(phases)))
-            recorded += 1
-
-    final_metrics = copy.deepcopy(workload.final_metrics())
-    alloc_order = np.ascontiguousarray(workload.allocation_order(), dtype=np.int64)
-    workload.reset()
+    for traffic in windows:
+        for group in traffic.groups:
+            page_parts.append(group.pages)
+            count_parts.append(group.counts)
+            group_sizes.append(group.pages.shape[0])
+            group_mlp.append(float(group.mlp))
+            group_lf.append(float(group.load_fraction))
+            group_label.append(labels.setdefault(group.label, len(labels)))
+        win_groups.append(len(traffic.groups))
+        win_compute.append(float(traffic.compute_cycles))
+        win_consumed.append(int(traffic.extra["consumed_after"]))
+        win_done.append(bool(traffic.done))
+        win_phase.append(phases.setdefault(traffic.phase, len(phases)))
 
     columns: Dict[str, np.ndarray] = {
         "window_group_ptr": _ptr(win_groups),
@@ -257,8 +245,48 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
         "group_label": np.asarray(group_label, dtype=np.uint32),
         "pages": _concat_int64(page_parts),
         "counts": _concat_int64(count_parts),
-        "alloc_order": alloc_order,
     }
+    return columns, _table(phases), _table(labels)
+
+
+def content_digest(data: TraceData) -> str:
+    """SHA-256 of a trace's packed columns, string tables and objects."""
+    h = hashlib.sha256()
+    for name, dtype, _ in _COLUMN_SPECS:
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(data.columns[name], dtype=dtype).tobytes())
+    tables = [data.phases, data.labels, [list(o) for o in data.objects]]
+    h.update(json.dumps(tables).encode("utf-8"))
+    return h.hexdigest()
+
+
+def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
+    """Freeze a workload's traffic stream into columnar arrays.
+
+    Consumes ``workload`` exactly as :meth:`Machine.run` would -- one
+    ``next_window`` per window while the workload is not done and the
+    budget holds -- so the recorded stream, the per-window consumed
+    counters, and the end-of-run ``final_metrics`` all match what a
+    live run observes.  The workload is reset afterwards.
+    """
+    fingerprint = _source_fingerprint(workload)
+    workload.reset()
+
+    def stream() -> Iterator[WindowTraffic]:
+        recorded = 0
+        while not workload.done and recorded < max_windows:
+            chunk = workload.next_windows(min(RECORD_CHUNK, max_windows - recorded))
+            if not chunk:
+                break
+            yield from chunk
+            recorded += len(chunk)
+
+    columns, phases, labels = pack_windows(stream())
+    final_metrics = copy.deepcopy(workload.final_metrics())
+    columns["alloc_order"] = np.ascontiguousarray(
+        workload.allocation_order(), dtype=np.int64
+    )
+    workload.reset()
     return TraceData(
         workload={
             "name": workload.name,
@@ -271,8 +299,8 @@ def record_stream(workload: Workload, max_windows: int = 200_000) -> TraceData:
         fingerprint=fingerprint,
         objects=[(o.name, int(o.start_page), int(o.num_pages)) for o in workload.objects],
         final_metrics=final_metrics,
-        phases=_table(phases),
-        labels=_table(labels),
+        phases=phases,
+        labels=labels,
         columns=columns,
         source_class=type(workload).__qualname__,
     )
@@ -492,9 +520,7 @@ def npt_from_trace_dict(trace: dict, path: PathLike) -> Path:
     """Convert a JSON trace dict (``tracefile.py`` format) to ``.npt``."""
     from repro.workloads.tracefile import TraceWorkload
 
-    workload = TraceWorkload(trace, loop=False)
-    windows = len(trace["windows"])
-    return write_npt(record_stream(workload, max_windows=windows), path)
+    return write_npt(TraceWorkload(trace, loop=False).trace_data, path)
 
 
 def trace_dict_from_npt(path: PathLike) -> dict:
@@ -541,9 +567,10 @@ class ReplayWorkload(Workload):
     ``done`` transitions, phases, and ``final_metrics`` come straight
     from the recording, so a :class:`Machine` run over this workload is
     indistinguishable from one over the live generator it was recorded
-    from.  With ``loop=True`` the trace wraps around at the end instead
-    (``TraceWorkload`` semantics, for trace-driven evaluation of
-    recorded streams longer than one pass).
+    from.  With ``loop=True`` the trace wraps around at the end instead,
+    and progress comes from each window's emitted misses (how
+    :class:`~repro.workloads.tracefile.TraceWorkload` replays JSON
+    traces by default).
     """
 
     def __init__(self, data: TraceData, loop: bool = False):
@@ -1063,10 +1090,12 @@ __all__ = [
     "TraceExhausted",
     "TraceFormatError",
     "TraceStore",
+    "content_digest",
     "default_trace_dir",
     "get_default_trace_store",
     "keyed_plan_key",
     "npt_from_trace_dict",
+    "pack_windows",
     "read_npt",
     "record_stream",
     "record_to_file",

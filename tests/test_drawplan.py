@@ -3,9 +3,9 @@
 Every optimisation in :mod:`repro.hw.drawplan` claims *exact* result
 preservation -- the same RNG bit stream, the same float summation
 order, the same share rows.  These tests assert that claim directly:
-chunked jitter streams against scalar draws, the whole-run static split
-against the per-window splitter, pre-drawn PEBS/CHMU sample plans
-against live sampling, and finally full machine runs with plans on,
+the live noise stream drawn in vector blocks against scalar draws,
+the whole-run static split against the per-window splitter, the
+pre-solve against live solves, and full machine runs with plans on,
 plans off, and no replay at all.
 """
 
@@ -14,15 +14,17 @@ import pytest
 
 from repro.baselines import make_policy
 from repro.hw import drawplan
-from repro.hw.chmu import ChmuSampler
-from repro.hw.pebs import PebsSampler
+from repro.hw.access import AccessGroup
+from repro.hw.cha import ChaTorCounters
 from repro.hw.stall import StallModel
 from repro.common.units import CXL_SPEC, DRAM_SPEC
+from repro.mem.page import Tier
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
 from repro.workloads import make_workload
 from repro.workloads.tracestore import ReplayWorkload, record_stream
+from conftest import split_on_tiers
 
 
 def recorded(total_misses=600_000, seed=7, name="gups"):
@@ -32,28 +34,43 @@ def recorded(total_misses=600_000, seed=7, name="gups"):
 
 
 class TestNormalDrawStream:
+    """The live lognormal noise stream, drawn in vector blocks.
+
+    With no plan attached, the CHA/TOR counters draw a window's noise as
+    one ``(rows, 2)`` block.  The block must hold exactly the values of
+    the same number of sequential scalar draws, continuing across
+    windows, whatever the block size.
+    """
+
     @pytest.mark.parametrize("chunk", [1, 3, 8, 64, 8192])
     def test_prefix_matches_scalar_draws(self, chunk):
         seed, scale = 42, 0.05
-        stream = drawplan.NormalDrawStream(
-            np.random.default_rng(seed), scale, chunk=chunk
-        )
+        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        cha = ChaTorCounters(noise=scale, rng=np.random.default_rng(seed))
         live = np.random.default_rng(seed)
-        taken = []
-        for n in (1, 2, 1, 5, 3, 1, 7):
-            taken.extend(stream.take(n).tolist())
-        expected = [float(np.exp(live.normal(0.0, scale))) for _ in taken]
-        assert taken == expected  # bit-exact, not approx
-
-    def test_take_matches_vector_draw(self):
-        stream = drawplan.NormalDrawStream(np.random.default_rng(3), 0.02, chunk=4)
-        got = np.concatenate([stream.take(5), stream.take(6)])
-        expect = np.exp(np.random.default_rng(3).normal(0.0, 0.02, size=11))
-        np.testing.assert_array_equal(got, expect)
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            drawplan.NormalDrawStream(np.random.default_rng(0), 0.0)
+        occupancy = {Tier.FAST: 0.0, Tier.SLOW: 0.0}
+        busy = dict(occupancy)
+        for rows in (chunk, 1, chunk, 2):
+            placed = [
+                (
+                    Tier.FAST if i % 2 else Tier.SLOW,
+                    AccessGroup(pages=[i], counts=[100 + i % 7], mlp=2.0 + i % 5),
+                )
+                for i in range(rows)
+            ]
+            batch = model.solve(
+                split_on_tiers(model, placed), compute_cycles=1e6
+            ).shares
+            assert batch.n == rows
+            cha.advance(batch)
+            for i, tier in enumerate(batch.tiers):
+                occ = float(batch.misses_f[i] * (batch.unit_stall_cycles[i] * batch.mlp[i]))
+                row_busy = occ / float(batch.mlp[i])
+                occupancy[tier] += occ * float(np.exp(live.normal(0.0, scale)))
+                busy[tier] += row_busy * float(np.exp(live.normal(0.0, scale)))
+        snap = cha.read()
+        assert snap.occupancy == occupancy  # bit-exact, not approx
+        assert snap.busy_cycles == busy
 
 
 def static_placement_for(data, num_tiers=2, seed=0):
@@ -103,57 +120,26 @@ class TestStaticSplit:
             assert (batches[w] is None) == (wgp[w + 1] == wgp[w])
 
 
-class TestSamplerPlans:
-    def test_pebs_plan_replays_live_draw_sequence(self):
-        data = recorded(total_misses=400_000, seed=11)
-        placement = static_placement_for(data, seed=11)
-        batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        tiers = Machine(
-            workload=ReplayWorkload(data), policy=NoTierPolicy(),
-            config=MachineConfig(), ratio="1:2", seed=0,
-        )._pebs_tiers()
-        plan_sampler = PebsSampler(rate=61, rng=np.random.default_rng(5))
-        plan = drawplan.plan_pebs_batches(plan_sampler, batches, tiers)
-        live_sampler = PebsSampler(rate=61, rng=np.random.default_rng(5))
-        for w, batch in enumerate(batches):
-            if batch is None:
-                continue
-            live = live_sampler.sample(batch, tiers=tiers)
-            planned = plan.batch_for(w)
-            np.testing.assert_array_equal(planned.pages, live.pages)
-            np.testing.assert_array_equal(planned.counts, live.counts)
-            assert planned.overhead_cycles == live.overhead_cycles
-
-    def test_chmu_plan_matches_live_epochs(self):
-        data = recorded(total_misses=400_000, seed=13)
-        placement = static_placement_for(data, seed=13)
-        footprint = placement.size
-        batches = drawplan.build_static_batches(data, placement, num_tiers=2)
-        plan_sampler = ChmuSampler(footprint_pages=footprint, epoch_windows=2)
-        plan = drawplan.plan_chmu_batches(plan_sampler, batches)
-        live = ChmuSampler(footprint_pages=footprint, epoch_windows=2)
-        for w, batch in enumerate(batches):
-            if batch is None:
-                continue
-            live_batch = live.sample(batch)
-            planned = plan.batch_for(w)
-            np.testing.assert_array_equal(planned.pages, live_batch.pages)
-            np.testing.assert_array_equal(planned.counts, live_batch.counts)
-
-
 class StaticChmuPolicy(NoTierPolicy):
-    """Static policy observed through the CHMU sampler (plan coverage)."""
+    """Static policy observed through the CHMU sampler (live-path coverage)."""
 
     name = "StaticChmu"
     needs_pebs = True
     access_sampler = "chmu"
 
 
-def run_once(policy, workload, ratio="1:2", seed=0):
+class StaticPebsPolicy(NoTierPolicy):
+    """Static policy observed through PEBS (live-path coverage)."""
+
+    name = "StaticPebs"
+    needs_pebs = True
+
+
+def run_once(policy, workload, ratio="1:2", seed=0, config=None):
     machine = Machine(
         workload=workload,
         policy=policy,
-        config=MachineConfig(),
+        config=config if config is not None else MachineConfig(),
         ratio=ratio,
         seed=seed,
     )
@@ -173,19 +159,42 @@ class TestMachineBitIdentity:
         planned, machine = run_once(make_policy(policy_name), ReplayWorkload(data))
         monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
         unplanned, bare = run_once(make_policy(policy_name), ReplayWorkload(data))
-        assert bare._split_plan is None and bare._pebs_plan is None
+        assert bare._split_plan is None
         assert planned.runtime_cycles == unplanned.runtime_cycles
         assert planned.runtime_cycles == live_result.runtime_cycles
         if getattr(machine.policy, "static_placement", False):
             assert machine._split_plan is not None
 
-    def test_chmu_policy_engages_sample_plan(self, monkeypatch):
+    def test_chmu_policy_samples_live_over_static_split(self, monkeypatch):
+        # A static policy that samples still gets the whole-run split,
+        # but its sampler draws and accumulates window by window.
         data = recorded(total_misses=400_000, seed=9)
+        live, _ = run_once(
+            StaticChmuPolicy(), make_workload("gups", total_misses=400_000, seed=9)
+        )
         planned, machine = run_once(StaticChmuPolicy(), ReplayWorkload(data))
-        assert machine._pebs_plan is not None
+        assert machine._split_plan is not None
         monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
         unplanned, _ = run_once(StaticChmuPolicy(), ReplayWorkload(data))
         assert planned.runtime_cycles == unplanned.runtime_cycles
+        assert planned.runtime_cycles == live.runtime_cycles
+
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_static_pebs_policy_samples_live(self, schema, monkeypatch):
+        config = MachineConfig(rng_schema=schema)
+        data = recorded(total_misses=400_000, seed=5)
+        live, _ = run_once(
+            StaticPebsPolicy(),
+            make_workload("gups", total_misses=400_000, seed=5),
+            config=config,
+        )
+        planned, machine = run_once(StaticPebsPolicy(), ReplayWorkload(data), config=config)
+        assert machine._split_plan is not None
+        monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
+        unplanned, _ = run_once(StaticPebsPolicy(), ReplayWorkload(data), config=config)
+        assert planned.runtime_cycles == unplanned.runtime_cycles
+        assert planned.runtime_cycles == live.runtime_cycles
 
 
 class TestSolvePlan:
@@ -257,14 +266,14 @@ class TestAttachGating:
             make_policy("NoTier"), make_workload("gups", total_misses=200_000)
         )
         assert machine._split_plan is None
-        assert machine._pebs_plan is None
+        assert machine._entry_meta is None
 
     def test_looping_replay_gets_no_plans(self):
         data = recorded(total_misses=200_000)
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data, loop=True))
         assert machine._split_plan is None
 
-    def test_dynamic_policy_gets_jitter_streams_only(self):
+    def test_dynamic_policy_gets_entry_meta_only(self):
         data = recorded(total_misses=200_000)
         machine = Machine(
             workload=ReplayWorkload(data),
@@ -274,15 +283,16 @@ class TestAttachGating:
             seed=0,
         )
         assert machine._split_plan is None
-        if machine.cha.noise > 0.0:
-            assert machine.cha._jitter_stream is not None
+        assert machine._solve_plan is None
+        assert machine._entry_meta is not None
 
     def test_env_switch_disables_everything(self, monkeypatch):
         monkeypatch.setenv(drawplan.ENV_DISABLE, "1")
         data = recorded(total_misses=200_000)
         _, machine = run_once(make_policy("NoTier"), ReplayWorkload(data))
         assert machine._split_plan is None
-        assert machine.cha._jitter_stream is None
+        assert machine._solve_plan is None
+        assert machine._entry_meta is None
 
     def test_static_migration_guard_trips(self):
         data = recorded(total_misses=200_000)

@@ -54,24 +54,15 @@ def small_grid(config=None) -> ExperimentSpec:
 
 @pytest.fixture
 def count_runs(monkeypatch):
-    """Count simulated runs in this process (solo and lockstep)."""
-    from repro.sim.runbatch import MultiMachine
-
+    """Count simulated runs in this process."""
     calls = []
     original = Machine.run
-    original_multi = MultiMachine.run
 
     def counting_run(self, *args, **kwargs):
         calls.append(self)
         return original(self, *args, **kwargs)
 
-    def counting_multi_run(self, *args, **kwargs):
-        # One lockstep execution simulates every member machine once.
-        calls.extend(self.machines)
-        return original_multi(self, *args, **kwargs)
-
     monkeypatch.setattr(Machine, "run", counting_run)
-    monkeypatch.setattr(MultiMachine, "run", counting_multi_run)
     return calls
 
 

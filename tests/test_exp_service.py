@@ -58,6 +58,15 @@ def small_grid() -> ExperimentSpec:
     )
 
 
+def seed_ratio_grid() -> ExperimentSpec:
+    return ExperimentSpec(
+        workloads=[WorkloadSpec.from_factory(tiny_factory, label="tiny")],
+        policies=[PolicySpec("PACT")],
+        ratios=("1:2", "1:4"),
+        seeds=(0, 1, 2),
+    )
+
+
 def _in_worker() -> bool:
     return multiprocessing.current_process().name != "MainProcess"
 
@@ -236,6 +245,22 @@ class TestCampaignEquivalence:
                 assert a == result_to_dict(reread.get(req.key))
         finally:
             tracestore.reset_default_trace_store()
+
+    def test_pooled_campaign_matches_serial(self, isolated_stores):
+        spec = seed_ratio_grid()
+        with CampaignDriver(jobs=2) as driver:
+            campaign = driver.run(spec.expand())
+        assert campaign.ok
+        serial = run_requests(spec.expand(), use_cache=False)
+        for req in spec.expand():
+            assert result_to_dict(campaign[req]) == result_to_dict(serial[req])
+
+    def test_every_member_lands_in_cache(self, isolated_stores):
+        store, _ = isolated_stores
+        spec = seed_ratio_grid()
+        run_requests(spec.expand())
+        for req in spec.expand():
+            assert store.get(req.key) is not None
 
     def test_campaign_serves_existing_json_cache(self, tmp_path, isolated_stores):
         spec = small_grid()

@@ -1,10 +1,18 @@
 """Trace replay, multi-seed statistics, and terminal charts."""
 
+import hashlib
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.analysis.repeat import RepeatedResult, repeat_runs, significantly_better
+from repro.baselines import make_policy
 from repro.common.charts import bar_chart, series_with_sparkline, sparkline
+from repro.exp.cache import ResultStore, workload_fingerprint
+from repro.exp.runner import run_requests
+from repro.exp.spec import PolicySpec, RunRequest, WorkloadSpec
+from repro.sim.config import MachineConfig
 from repro.sim.engine import clear_baseline_cache, ideal_baseline, run_policy
 from repro.sim.machine import Machine
 from repro.sim.policy_api import NoTierPolicy
@@ -80,6 +88,120 @@ class TestTraceWorkload:
         baseline = ideal_baseline(TraceWorkload(trace, loop=False), config=config)
         result = run_policy(workload, make_policy("PACT"), ratio="1:2", config=config)
         assert result.slowdown(baseline) < 1.5
+
+
+def two_page_trace(pages):
+    return {
+        "name": "t",
+        "footprint_pages": 16,
+        "windows": [{"groups": [{"pages": pages, "counts": [5, 3], "mlp": 2.0}]}],
+    }
+
+
+def stream_digest(workload, limit=500):
+    """(windows, digest) of everything a workload emits until done."""
+    h = hashlib.sha256()
+    workload.reset()
+    n = 0
+    while not workload.done and n < limit:
+        t = workload.next_window()
+        h.update(repr((float(t.compute_cycles), bool(t.done), t.phase,
+                       int(t.extra["consumed_after"]))).encode())
+        for g in t.groups:
+            h.update(np.asarray(g.pages, dtype=np.int64).tobytes())
+            h.update(np.asarray(g.counts, dtype=np.int64).tobytes())
+            h.update(repr((float(g.mlp), float(g.load_fraction), g.label)).encode())
+        n += 1
+    workload.reset()
+    return n, h.hexdigest()[:16]
+
+
+TRACES = {
+    "small": small_trace,
+    "tiny": lambda: record_trace(TinyWorkload(), windows=12),
+}
+
+#: Pinned from the per-window JSON replay that TraceWorkload used before
+#: it replayed through ReplayWorkload: (trace, loop, budget stretch) ->
+#: (windows, stream digest, {(rng schema, policy): runtime_cycles.hex()}).
+_RUNS = [(schema, policy) for schema in (1, 2) for policy in ("NoTier", "PACT")]
+_SMALL_1X = dict.fromkeys(_RUNS, "0x1.c53c2e66298d6p+10")
+_SMALL_3X = dict.fromkeys(_RUNS, "0x1.53ed22cc9f2a0p+12")
+_TINY_1X = {
+    (1, "NoTier"): "0x1.0d7ba4892cc29p+25", (1, "PACT"): "0x1.270c5f46e7897p+25",
+    (2, "NoTier"): "0x1.0d7ba4892cc29p+25", (2, "PACT"): "0x1.1fdb2d4cc332ap+25",
+}
+PINNED = {
+    ("small", False, 1): (2, "a8e1ab050067c378", _SMALL_1X),
+    ("small", True, 1): (2, "a8e1ab050067c378", _SMALL_1X),
+    ("small", True, 3): (6, "b9fdd3b0c9e32d5a", _SMALL_3X),
+    ("tiny", False, 1): (12, "06a53f402de04509", _TINY_1X),
+    ("tiny", True, 1): (12, "06a53f402de04509", _TINY_1X),
+    ("tiny", True, 3): (36, "76162d17501404dd", {
+        (1, "NoTier"): "0x1.943976cdc323cp+26", (1, "PACT"): "0x1.aad697d0c349cp+26",
+        (2, "NoTier"): "0x1.943976cdc323cp+26", (2, "PACT"): "0x1.a570649823a2fp+26",
+    }),
+}
+
+
+def pinned_workload(name, loop, stretch):
+    workload = TraceWorkload(TRACES[name](), loop=loop)
+    if stretch > 1:
+        workload.set_total_misses(workload.total_misses * stretch)
+    return workload
+
+
+class TestTraceReplayPinned:
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
+    def test_stream_and_runtimes_unchanged(self, case):
+        windows, digest, runtimes = PINNED[case]
+        assert stream_digest(pinned_workload(*case)) == (windows, digest)
+        for schema, policy in _RUNS:
+            result = Machine(
+                pinned_workload(*case),
+                make_policy(policy),
+                config=MachineConfig(rng_schema=schema),
+                ratio="1:2",
+                seed=0,
+            ).run()
+            assert result.runtime_cycles.hex() == runtimes[(schema, policy)], (schema, policy)
+
+
+class TestTraceIdentity:
+    def test_traces_touching_different_pages_never_share_a_result(self):
+        a, b = two_page_trace([0, 1]), two_page_trace([14, 15])
+        assert workload_fingerprint(TraceWorkload(a)) != workload_fingerprint(
+            TraceWorkload(b)
+        )
+        requests = [
+            RunRequest(
+                workload=WorkloadSpec.from_factory(partial(TraceWorkload, t, False)),
+                policy=PolicySpec("NoTier"),
+                ratio="1:2",
+            )
+            for t in (a, b)
+        ]
+        served = run_requests(requests, jobs=1, store=ResultStore())
+        for trace, req in zip((a, b), requests):
+            direct = Machine(TraceWorkload(trace, loop=False), NoTierPolicy(), ratio="1:2")
+            assert served[req].runtime_cycles == direct.run().runtime_cycles
+        assert served[requests[0]].runtime_cycles != served[requests[1]].runtime_cycles
+
+    def test_stretching_moves_the_cache_identity(self):
+        workload = TraceWorkload(small_trace(), loop=True)
+        before = workload_fingerprint(workload)
+        workload.set_total_misses(64)
+        after = workload_fingerprint(workload)
+        assert after["total_misses"] == 64
+        assert after != before
+
+    def test_negative_counts_rejected(self):
+        bad = {"footprint_pages": 4, "windows": [
+            {"groups": [{"pages": [0, 1], "counts": [5, 3], "mlp": 2.0}]},
+            {"groups": [{"pages": [0, 1], "counts": [5, -3], "mlp": 2.0}]},
+        ]}
+        with pytest.raises(ValueError, match="window 1"):
+            TraceWorkload(bad)
 
 
 class TestRepeat:

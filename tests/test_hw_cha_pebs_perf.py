@@ -175,6 +175,26 @@ class TestPerfCounters:
         assert delta.llc_misses[Tier.SLOW] == pytest.approx(truth, rel=0.05)
         assert delta.llc_misses[Tier.SLOW] != truth
 
+    def test_vector_draw_matches_sequential_scalar_draws(self):
+        # advance() draws a window's 2 * T factors in one vector call;
+        # the values must be those of 2 * T scalar draws, (miss, stall)
+        # per tier in tier order, continuing across windows.
+        model = StallModel(DRAM_SPEC, CXL_SPEC)
+        noise = 0.05
+        perf = PerfCounters(noise=noise, rng=np.random.default_rng(42))
+        scalar = np.random.default_rng(42)
+        misses = {tier: 0.0 for tier in (Tier.FAST, Tier.SLOW)}
+        stalls = dict(misses)
+        for n in (40_000, 64_000, 128_000):
+            out = model.solve(solved_shares(misses=n), compute_cycles=1e6)
+            perf.advance(out)
+            for tier, load in out.tier_loads.items():
+                misses[tier] += load.misses * float(np.exp(scalar.normal(0.0, noise)))
+                stalls[tier] += load.stall_cycles * float(np.exp(scalar.normal(0.0, noise)))
+        snap = perf.read()
+        assert snap.llc_misses == misses  # bit-exact, not approx
+        assert snap.stall_cycles == stalls
+
 
 def _legacy_pebs_sample(rng, shares, tiers, rate, cycles_per_record, loads_only, report_latency):
     """The pre-vectorisation per-share loop, kept verbatim as the oracle."""

@@ -11,8 +11,8 @@ between runs of one process.  These tests pin the contract:
 * every key input (seed, rate, loads_only, the trace file) selects a
   different sidecar;
 * unusable sidecars are misses, and concurrent workers draw once;
-* shared tensors are read-only, and same-seed lockstep members share
-  one object;
+* shared tensors are read-only, and same-seed runs of one process
+  share one object;
 * ``REPRO_NO_DRAWPLAN=1`` bypasses the cache, and re-recording a trace
   discards its sidecars;
 * campaigns count the draws their workers make.
@@ -34,7 +34,6 @@ from repro.hw import drawplan, substream
 from repro.hw.substream import KeyedJitter, KeyedPebsSampler
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.runbatch import MultiMachine
 from repro.workloads import make_workload, tracestore
 from repro.workloads.tracestore import ReplayWorkload, TraceStore, read_npt
 
@@ -233,10 +232,8 @@ class TestSharing:
 
     def test_lockstep_members_with_one_seed_share(self, default_store, trace_dir):
         data = default_store.load(trace_file(trace_dir))
-        members = [machine(data, seed=s, ratio=r)
-                   for s, r in ((0, "1:2"), (0, "1:4"), (1, "1:2"))]
-        MultiMachine(members)
-        a, b, c = members
+        a, b, c = (machine(data, seed=s, ratio=r)
+                   for s, r in ((0, "1:2"), (0, "1:4"), (1, "1:2")))
         assert a._pebs_pos is b._pebs_pos
         assert a._keyed_cha._plan_values is b._keyed_cha._plan_values
         assert a._keyed_perf._plan_values is b._keyed_perf._plan_values

@@ -6,8 +6,7 @@ properties carry the whole design and are pinned here:
 
 * **Identity, not position**: a draw's value depends only on its key,
   never on which other windows were drawn, in what order, or by which
-  member of a multi-run group.  That is what makes whole-run prestaging
-  and lockstep execution trivially exact.
+  run.  That is what makes whole-run prestaging trivially exact.
 * **Prestaged == live**: the attach-time tensors slice to exactly the
   values the live fallback would draw window by window.
 * **Same marginals as schema 1**: the keyed draws follow the same

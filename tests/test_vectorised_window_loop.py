@@ -303,8 +303,8 @@ class TestScalarSolveMatchesVectorised:
         extras = [None] * R
         extra_cycles = [float(rng.uniform(0, 1e5)) for _ in range(R)]
 
-        # One splitting model per run, as the multi-run driver holds:
-        # split_groups hands out views of per-model scratch columns.
+        # One splitting model per window: split_groups hands out views
+        # of per-model scratch columns.
         models = [StallModel(DRAM_SPEC, CXL_SPEC) for _ in range(R)]
         with solve_kernel(flat=False):
             batches = [m.split_groups(g, p) for m, (g, p) in zip(models, windows)]
